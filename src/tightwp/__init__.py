@@ -5,7 +5,9 @@ Bessel-moment numerics, Boltzmann cusp statistics and the tight
 length-spectrum limit laws, with a CLI front door (``tightwp``).
 """
 
-from tightwp.kernels import BACKEND as KERNEL_BACKEND
+# Benchmark environment stamps record this; the term-map kernels are the
+# pure-Python loops in tightwp.ring.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"
 

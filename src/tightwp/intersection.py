@@ -81,11 +81,6 @@ def cache_size() -> int:
     return len(_memo)
 
 
-def cached_keys():
-    """Snapshot of all memoized (genus, indices) keys."""
-    return list(_memo.keys())
-
-
 def clear_cache():
     _memo.clear()
 

@@ -146,8 +146,12 @@ def moment(k: int, mu, prec: int = DEFAULT_PREC):
     """
     if k < 0:
         raise DomainError("moment index must be >= 0")
+    return _moment_at_r(k, solve_r(mu, prec), prec)
+
+
+def _moment_at_r(k: int, r, prec: int):
+    """M_k at a given root r = R(mu); see moment()."""
     with mp.workprec(prec + 16):
-        r = solve_r(mu, prec)
         if r < mpmath.mpf("1e-8"):
             c = (-2 * mp.pi ** 2)
             term = c ** k / mpmath.factorial(k)
@@ -191,7 +195,10 @@ def alpha2(prec: int = DEFAULT_PREC):
 
 @dataclass(frozen=True)
 class MomentFrame:
-    """Numeric snapshot (mu, R(mu), M_0..M_D) at a fixed precision."""
+    """Numeric snapshot (mu, R(mu), M_0..M_D) at a fixed precision.
+
+    mu is the value the frame was built from, held at precision + 16 bits.
+    """
 
     mu: object
     r_value: object
@@ -221,17 +228,20 @@ def make_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
         if mu < 0 or mu >= mu_critical(prec):
             raise DomainError(f"mu={mu} outside [0, mu_c)")
         r = solve_r(mu, prec)
-        moms = tuple(moment(k, mu, prec) for k in range(d_max + 1))
-    return MomentFrame(mu=+mu, r_value=r, moments=moms, precision=prec)
+        moms = tuple(_moment_at_r(k, r, prec) for k in range(d_max + 1))
+    return MomentFrame(mu=mu, r_value=r, moments=moms, precision=prec)
 
 
 _frame_cache: dict = {}
 
 
 def cached_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
-    """make_frame with memoization; frames are immutable and shareable."""
+    """make_frame with memoization; frames are immutable and shareable.
+
+    The key is mu exactly as make_frame converts it, at prec + 16 bits.
+    """
     with mp.workprec(prec + 16):
-        key = (mpmath.nstr(mpmath.mpf(mu), 40), d_max, prec)
+        key = (mpmath.mpf(mu), d_max, prec)
     frame = _frame_cache.get(key)
     if frame is None:
         frame = make_frame(mu, d_max, prec)

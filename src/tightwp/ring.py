@@ -27,7 +27,6 @@ from typing import Iterable, Mapping, Sequence
 import mpmath
 from mpmath import mp
 
-from tightwp import kernels
 from tightwp.errors import CancellationWarning, DomainError, ShapeError
 
 try:
@@ -70,6 +69,32 @@ def pi_squared(prec: int = DEFAULT_PREC):
     """pi^2 at the given binary precision (deterministic per precision)."""
     with mp.workprec(prec):
         return mp.pi ** 2
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """Sum of two {key: coeff} maps, dropping zero results."""
+    if not a:
+        return dict(b)
+    if not b:
+        return dict(a)
+    out = dict(a)
+    for k, c in b.items():
+        if k in out:
+            s = out[k] + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        else:
+            out[k] = c
+    return out
+
+
+def _scale_terms(a: dict, c) -> dict:
+    """Every coefficient of a {key: coeff} map times c (c may be zero)."""
+    if not c:
+        return {}
+    return {k: v * c for k, v in a.items()}
 
 
 class PiPoly:
@@ -137,7 +162,7 @@ class PiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PiPoly._raw(kernels.add_dicts(self._c, other._c))
+        return PiPoly._raw(_add_terms(self._c, other._c))
 
     __radd__ = __add__
 
@@ -158,9 +183,18 @@ class PiPoly:
 
     def __mul__(self, other):
         if isinstance(other, PiPoly):
-            return PiPoly._raw(kernels.conv_dicts(self._c, other._c))
+            out = {}
+            for ea, ca in self._c.items():
+                for eb, cb in other._c.items():
+                    e = ea + eb
+                    c = ca * cb
+                    if e in out:
+                        out[e] += c
+                    else:
+                        out[e] = c
+            return PiPoly._raw({e: c for e, c in out.items() if c})
         if isinstance(other, (int, Rational)):
-            return PiPoly._raw(kernels.scale_dict(self._c, Rational(other)))
+            return PiPoly._raw(_scale_terms(self._c, Rational(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -410,11 +444,6 @@ def series_invert_z(order: int) -> MuSeries:
     return MuSeries(coeffs)
 
 
-def series_compose(outer: MuSeries, inner: MuSeries) -> MuSeries:
-    """Truncated composition outer(inner(mu)); inner(0) must vanish."""
-    return outer.compose(inner)
-
-
 class TightPoly:
     """Sparse polynomial in (ell_1..ell_n, m_1..m_D) over Rational.
 
@@ -515,9 +544,8 @@ class TightPoly:
     def __add__(self, other):
         if isinstance(other, TightPoly):
             self._check_shape(other)
-            return TightPoly._raw(
-                self.n_ell, self.n_m,
-                kernels.add_dicts(self.terms, other.terms))
+            return TightPoly._raw(self.n_ell, self.n_m,
+                                  _add_terms(self.terms, other.terms))
         if isinstance(other, (int, Rational)):
             return self + TightPoly.const(self.n_ell, self.n_m, other)
         return NotImplemented
@@ -539,12 +567,20 @@ class TightPoly:
     def __mul__(self, other):
         if isinstance(other, TightPoly):
             self._check_shape(other)
+            out = {}
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    k = tuple(x + y for x, y in zip(ka, kb))
+                    c = ca * cb
+                    if k in out:
+                        out[k] += c
+                    else:
+                        out[k] = c
             return TightPoly._raw(self.n_ell, self.n_m,
-                                  kernels.tp_mul(self.terms, other.terms))
+                                  {k: c for k, c in out.items() if c})
         if isinstance(other, (int, Rational)):
-            return TightPoly._raw(
-                self.n_ell, self.n_m,
-                kernels.scale_dict(self.terms, Rational(other)))
+            return TightPoly._raw(self.n_ell, self.n_m,
+                                  _scale_terms(self.terms, Rational(other)))
         return NotImplemented
 
     __rmul__ = __mul__
@@ -561,17 +597,35 @@ class TightPoly:
         if not 1 <= index <= self.n_m:
             raise ShapeError(f"m index {index} out of range 1..{self.n_m}")
         pos = self.n_ell + index - 1
+        out = {}
+        for k, c in self.terms.items():
+            e = k[pos]
+            if e == 0:
+                continue
+            kk = k[:pos] + (e - 1,) + k[pos + 1:]
+            cc = c * e
+            if kk in out:
+                out[kk] += cc
+            else:
+                out[kk] = cc
         return TightPoly._raw(self.n_ell, self.n_m,
-                              kernels.tp_dm(self.terms, pos, _R1))
+                              {k: c for k, c in out.items() if c})
 
     def integrate_ell(self, boundary: int) -> "TightPoly":
-        """Boundary integral int_0^L x p(x...) dx in ell_boundary."""
+        """Boundary integral int_0^L x p(x...) dx in ell_boundary.
+
+        Exponent q (of ell = L^2) maps to q+1 with the coefficient divided
+        by 2q+2, which is exactly int_0^L x * x^(2q) dx = L^(2q+2)/(2q+2).
+        """
         if not 1 <= boundary <= self.n_ell:
             raise ShapeError(f"boundary {boundary} out of range "
                              f"1..{self.n_ell}")
         pos = boundary - 1
-        return TightPoly._raw(self.n_ell, self.n_m,
-                              kernels.tp_int_ell(self.terms, pos, _R1))
+        out = {}
+        for k, c in self.terms.items():
+            e = k[pos]
+            out[k[:pos] + (e + 1,) + k[pos + 1:]] = c * Rational(1, 2 * e + 2)
+        return TightPoly._raw(self.n_ell, self.n_m, out)
 
     def permute_ell(self, perm: Sequence[int]) -> "TightPoly":
         """Relabel boundaries: new ell_i = old ell_{perm[i-1]} (1-based)."""
@@ -580,8 +634,15 @@ class TightPoly:
                              f"1..{self.n_ell}")
         full = tuple(p - 1 for p in perm) + tuple(
             range(self.n_ell, self.n_ell + self.n_m))
+        out = {}
+        for k, c in self.terms.items():
+            kk = tuple(k[p] for p in full)
+            if kk in out:
+                out[kk] += c
+            else:
+                out[kk] = c
         return TightPoly._raw(self.n_ell, self.n_m,
-                              kernels.tp_permute(self.terms, full))
+                              {k: c for k, c in out.items() if c})
 
     def embed(self, n_ell: int, n_m: int,
               ell_positions: Sequence[int]) -> "TightPoly":
@@ -635,8 +696,19 @@ class TightPoly:
             vals = [mpmath.mpf(v) for v in ell_values] + \
                    [mpmath.mpf(v) for v in m_values]
             pows = self._pow_tables(vals, prec)
-            items = [(k, to_mpf(q, prec)) for k, q in self.terms.items()]
-            total, abs_total = kernels.tp_eval(items, pows)
+            # abs_total, the sum of |term|, drives the cancellation flag
+            total = 0
+            abs_total = 0
+            for k, q in self.terms.items():
+                t = to_mpf(q, prec)
+                for i, e in enumerate(k):
+                    if e:
+                        t = t * pows[i][e]
+                total = total + t
+                if t < 0:
+                    abs_total = abs_total - t
+                else:
+                    abs_total = abs_total + t
             cancelled = bool(abs_total) and \
                 abs(total) < mpmath.mpf(cancel_threshold) * abs_total
             return total, abs_total, cancelled
@@ -679,22 +751,6 @@ class TightPoly:
             out[ell_key] = acc if cur is None else cur + acc
         return {k: v for k, v in out.items() if not v.is_zero}
 
-    def eval_exact(self, ell_values, m_values: Sequence[PiPoly]) -> PiPoly:
-        """Fully exact evaluation at Rational ell values, PiPoly m values."""
-        if len(ell_values) != self.n_ell:
-            raise ShapeError(f"need {self.n_ell} ell-values, "
-                             f"got {len(ell_values)}")
-        by_ell = self.subst_m(m_values)
-        ells = [q if isinstance(q, Rational) else Rational(q)
-                for q in ell_values]
-        total = PiPoly.zero()
-        for key, pp in by_ell.items():
-            scale = _R1
-            for v, e in zip(ells, key):
-                scale *= v ** e
-            total = total + pp * scale
-        return total
-
     # -- canonical order and serialization ---------------------------------
 
     def sorted_terms(self):
@@ -723,26 +779,3 @@ class TightPoly:
     def __repr__(self):
         return (f"TightPoly(n_ell={self.n_ell}, n_m={self.n_m}, "
                 f"terms={len(self.terms)})")
-
-
-# Spec-facing functional aliases -------------------------------------------
-
-def poly_add(a: TightPoly, b: TightPoly) -> TightPoly:
-    return a + b
-
-
-def poly_mul(a: TightPoly, b: TightPoly) -> TightPoly:
-    return a * b
-
-
-def poly_dm(p: TightPoly, index: int) -> TightPoly:
-    return p.dm(index)
-
-
-def poly_integrate_boundary(p: TightPoly, boundary: int) -> TightPoly:
-    return p.integrate_ell(boundary)
-
-
-def poly_eval(p: TightPoly, ell_values, m_values,
-              precision: int = DEFAULT_PREC):
-    return p.eval(ell_values, m_values, precision)

@@ -340,7 +340,7 @@ def _cached_pmf(g: int, mu, prec: int, cache):
     from tightwp.boltzmann import cusp_pmf
 
     with mp.workprec(prec):
-        key = (g, mpmath.nstr(mpmath.mpf(mu), 40), prec)
+        key = (g, mpmath.mpf(mu), prec)
     pmf = _pmf_cache.get(key)
     if pmf is None:
         pmf = cusp_pmf(g, mu, prec=prec, cache=cache)

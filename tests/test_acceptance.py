@@ -11,7 +11,7 @@ measured values are reported either way.
 
 import pytest
 
-from tightwp import verify
+from tightwp import intersection, tightpoly, verify
 
 _results = {}
 _FNS = {cid: fn for cid, fn, _fast in verify.CRITERIA}
@@ -64,6 +64,23 @@ def test_c04_series_extraction():
 
 def test_c05_property_suites():
     _assert_checks(_run("C05"))
+
+
+def test_c05_passes_with_warm_cache_and_cold_memo(poly_cache):
+    """A warm disk cache leaves the tau memo empty; C05 must not care."""
+    saved_tau = dict(intersection._memo)
+    saved_cells = dict(tightpoly._cells)
+    try:
+        for g in range(0, 6):
+            for n in range(0, 6):
+                if tightpoly.admissible(g, n):
+                    poly_cache.store(tightpoly.p_gn(g, n))
+        tightpoly.clear_memory_cache()
+        intersection.clear_cache()
+        _assert_checks(verify.criterion_property_suites(poly_cache))
+    finally:
+        intersection._memo.update(saved_tau)
+        tightpoly._cells.update(saved_cells)
 
 
 def test_c06_intersection_asymptotics_trend():

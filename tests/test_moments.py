@@ -151,6 +151,29 @@ class TestMoments:
         with pytest.raises(DomainError):
             moments.make_frame(0.032, 2, PREC)  # above mu_c
 
+    def test_frame_keeps_every_bit_of_mu(self):
+        with mp.workprec(PREC):
+            mu = moments.mu_critical(PREC) / 3  # not a 53-bit float
+        frame = moments.make_frame(mu, 2, PREC)
+        assert frame.mu == mu
+        assert abs(moments.z_value(frame.r_value, frame.mu, PREC)) < 1e-30
+
+    def test_frame_moments_match_moment(self):
+        frame = moments.make_frame(0.01, 3, PREC)
+        assert frame.moments == tuple(moments.moment(k, 0.01, PREC)
+                                      for k in range(4))
+
+    def test_cached_frame_keys_on_exact_mu(self):
+        prec = 256
+        with mp.workprec(prec + 16):
+            mu = mpmath.mpf(1) / 100
+            near = mu + mpmath.mpf("1e-45")
+        a = moments.cached_frame(mu, 1, prec)
+        b = moments.cached_frame(near, 1, prec)
+        assert a is not b
+        assert (a.mu, b.mu) == (mu, near)
+        assert moments.cached_frame(mu, 1, prec) is a
+
 
 class TestMomentSeries:
     def test_m0_coefficients(self):

@@ -11,10 +11,8 @@ from mpmath import mp
 
 from tightwp.errors import DomainError, ShapeError
 from tightwp.ring import (MuSeries, PiPoly, Rational, TightPoly, pi_squared,
-                          poly_add, poly_dm, poly_eval,
-                          poly_integrate_boundary, poly_mul, rat_from_str,
-                          rat_to_str, series_compose, series_invert_z,
-                          to_mpf, z_r_coefficient)
+                          rat_from_str, rat_to_str, series_invert_z, to_mpf,
+                          z_r_coefficient)
 
 
 def test_rational_is_canonical():
@@ -72,19 +70,19 @@ class TestMuSeries:
     def test_compose_identity(self):
         inner = MuSeries([0, Rational(2), Rational(5)])
         ident = MuSeries.identity(2)
-        assert series_compose(ident, inner) == inner
+        assert ident.compose(inner) == inner
 
     def test_compose_needs_zero_constant_term(self):
         with pytest.raises(DomainError):
-            series_compose(MuSeries([1, 1]), MuSeries([1, 1]))
+            MuSeries([1, 1]).compose(MuSeries([1, 1]))
 
     def test_compose_truncate_commutes(self):
         outer = MuSeries([Rational(1, 2), 3, Rational(-2, 7), 5, 1])
         inner = MuSeries([0, 1, Rational(4, 3), -2, Rational(1, 9)])
-        full = series_compose(outer, inner)
+        full = outer.compose(inner)
         for order in (1, 2, 3):
-            assert full.truncate(order) == series_compose(
-                outer.truncate(order), inner.truncate(order))
+            assert full.truncate(order) == \
+                outer.truncate(order).compose(inner.truncate(order))
 
     def test_inverse(self):
         s = MuSeries([1, PiPoly({1: -2}), PiPoly({2: 3})])
@@ -129,7 +127,7 @@ class TestSeriesInvertZ:
         outer = MuSeries(
             [PiPoly.term(Rational((-2) ** m, math.factorial(m) ** 2), m)
              for m in range(order + 1)])
-        got = series_compose(outer, series_invert_z(order))
+        got = outer.compose(series_invert_z(order))
         assert got.coeff(0) == PiPoly.const(1)
         assert got.coeff(1) == PiPoly.term(-2, 1)
         assert got.coeff(2) == PiPoly.term(-1, 2)
@@ -145,27 +143,27 @@ class TestTightPolyOps:
     def test_add_identity_and_inverse(self):
         p = _p11()
         zero = TightPoly.zero(1, 1)
-        assert poly_add(p, zero) == p
-        assert poly_add(p, -p).is_zero
+        assert p + zero == p
+        assert (p + -p).is_zero
 
     def test_add_disjoint_supports(self):
         m1 = TightPoly.m_var(2, 1, 1)
         l1 = TightPoly.ell_var(2, 1, 1)
-        s = poly_add(-m1, l1 * Rational(1, 2))
+        s = -m1 + l1 * Rational(1, 2)
         assert len(s) == 2
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError):
-            poly_add(TightPoly.zero(1, 1), TightPoly.zero(1, 2))
+            TightPoly.zero(1, 1) + TightPoly.zero(1, 2)
         with pytest.raises(ShapeError):
-            poly_mul(TightPoly.zero(2, 1), TightPoly.zero(1, 1))
+            TightPoly.zero(2, 1) * TightPoly.zero(1, 1)
 
     def test_mul_identity_and_square(self):
         p = _p11()
         one = TightPoly.const(1, 1, 1)
-        assert poly_mul(p, one) == p
+        assert p * one == p
         m1 = TightPoly.m_var(1, 1, 1)
-        sq = poly_mul(m1, m1)
+        sq = m1 * m1
         assert sq.terms == {(0, 2): Rational(1)}
 
     def test_mul_hand_expansion(self):
@@ -173,8 +171,7 @@ class TestTightPolyOps:
         m1 = TightPoly.m_var(2, 1, 1)
         l1 = TightPoly.ell_var(2, 1, 1)
         l2 = TightPoly.ell_var(2, 1, 2)
-        got = poly_mul((-m1) + l1 * Rational(1, 2),
-                       (-m1) + l2 * Rational(1, 2))
+        got = ((-m1) + l1 * Rational(1, 2)) * ((-m1) + l2 * Rational(1, 2))
         assert got.terms == {
             (0, 0, 2): Rational(1),
             (0, 1, 1): Rational(-1, 2),
@@ -183,54 +180,54 @@ class TestTightPolyOps:
         }
 
     def test_dm_examples(self):
-        assert poly_dm(_p11(), 1).terms == {(0, 0): Rational(-1, 24)}
+        assert _p11().dm(1).terms == {(0, 0): Rational(-1, 24)}
         p04 = -TightPoly.m_var(4, 2, 1)
         for i in range(1, 5):
             p04 = p04 + TightPoly.ell_var(4, 2, i) * Rational(1, 2)
-        assert poly_dm(p04, 2).is_zero
+        assert p04.dm(2).is_zero
         m1 = TightPoly.m_var(1, 1, 1)
-        assert poly_dm(poly_mul(m1, m1), 1) == m1 * 2
+        assert (m1 * m1).dm(1) == m1 * 2
 
     def test_dm_index_out_of_range(self):
         with pytest.raises(ShapeError):
-            poly_dm(_p11(), 2)
+            _p11().dm(2)
 
     def test_integrate_examples(self):
         one = TightPoly.const(2, 1, 1)
-        got = poly_integrate_boundary(one, 2)
+        got = one.integrate_ell(2)
         assert got.terms == {(0, 1, 0): Rational(1, 2)}
         m1 = TightPoly.m_var(2, 1, 1)
         l2 = TightPoly.ell_var(2, 1, 2)
         p = ((-m1) + l2 * Rational(1, 2)) * Rational(1, 24)
-        got = poly_integrate_boundary(p, 2)
+        got = p.integrate_ell(2)
         assert got.terms == {(0, 1, 1): Rational(-1, 48),
                              (0, 2, 0): Rational(1, 192)}
-        cube = poly_mul(l2, poly_mul(l2, TightPoly.const(2, 1, 1)))
-        got = poly_integrate_boundary(cube, 2)
+        cube = l2 * (l2 * TightPoly.const(2, 1, 1))
+        got = cube.integrate_ell(2)
         assert got.terms == {(0, 3, 0): Rational(1, 6)}
 
     def test_integrate_index_out_of_range(self):
         with pytest.raises(ShapeError):
-            poly_integrate_boundary(_p11(), 2)
+            _p11().integrate_ell(2)
 
     def test_eval_examples(self):
         one = TightPoly.const(3, 0, 1)
-        assert poly_eval(one, [1.0, 2.0, 3.0], [], 113) == 1
+        assert one.eval([1.0, 2.0, 3.0], [], 113) == 1
         p = -TightPoly.m_var(2, 1, 1)
         for i in (1, 2):
             p = p + TightPoly.ell_var(2, 1, i) * Rational(1, 2)
         with mp.workprec(113):
-            v = poly_eval(p, [0, 0], [-2 * pi_squared(113)], 113)
+            v = p.eval([0, 0], [-2 * pi_squared(113)], 113)
             assert abs(v - 2 * pi_squared(113)) < mpmath.mpf(2) ** -100
             assert mpmath.nstr(v, 9) == "19.7392088"
-        v = poly_eval(_p11(), [2.0], [0.0], 113)
+        v = _p11().eval([2.0], [0.0], 113)
         assert abs(v - to_mpf(Rational(1, 24), 113)) < mpmath.mpf(2) ** -100
 
     def test_eval_validates_shape_and_precision(self):
         with pytest.raises(ShapeError):
-            poly_eval(_p11(), [], [0.0], 113)
+            _p11().eval([], [0.0], 113)
         with pytest.raises(DomainError):
-            poly_eval(_p11(), [1.0], [0.0], 52)
+            _p11().eval([1.0], [0.0], 52)
 
     def test_eval_cancellation_flag(self):
         m1 = TightPoly.m_var(0, 1, 1)

@@ -222,6 +222,15 @@ class TestSamplers:
         pmf = spectrum._cached_pmf(3, mu, PREC, None)
         assert 0 <= a < len(pmf)
 
+    def test_pmf_cache_keys_on_exact_mu(self):
+        prec = 256
+        with mp.workprec(prec):
+            mu = mpmath.mpf(1) / 100
+            near = mu + mpmath.mpf("1e-45")
+        a = spectrum._cached_pmf(2, mu, prec, None)
+        assert spectrum._cached_pmf(2, near, prec, None) is not a
+        assert spectrum._cached_pmf(2, mu, prec, None) is a
+
     def test_cusp_count_empirical_mean(self):
         from tightwp import boltzmann
 
