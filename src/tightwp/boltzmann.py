@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp
 
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
-from tightwp.moments import cached_frame, mu_critical
+from tightwp.moments import _newton_root, cached_frame, mu_critical
 from tightwp.ring import DEFAULT_PREC, to_mpf
 from tightwp.tightpoly import admissible, p_gn
 
@@ -257,10 +257,14 @@ class MuSolveResult:
 
 def solve_mu_for_target(g: int, n_target, prec: int = DEFAULT_PREC,
                         cache=None, rel_tol: float = 1e-8) -> MuSolveResult:
-    """The mu with E[N_{g,mu}] = n_target, by bisection on [0, mu_c).
+    """The mu with E[N_{g,mu}] = n_target, by Newton's method on [0, mu_c).
 
-    Also reports the first-order seed mu_c (1 - 5g/(2 n_target)), which
-    the asymptotic mean formula suggests.
+    The slope is dE[N]/dmu = Var N / mu = (m2 + m1 - m1^2) / mu, from the
+    first two factorial moments m1 = E[N] and m2 = E[N(N-1)].  Newton
+    (moments._newton_root) starts at the first-order seed
+    mu_c (1 - 5g/(2 n_target)), which the asymptotic mean formula
+    suggests, when it lies inside the bracket, and at its midpoint
+    otherwise.  The seed is reported as well.
     """
     if g < 2:
         raise DomainError("cusp statistics need g >= 2")
@@ -270,20 +274,18 @@ def solve_mu_for_target(g: int, n_target, prec: int = DEFAULT_PREC,
         n_target = mpmath.mpf(n_target)
         muc = mu_critical(prec)
         seed = muc * (1 - mpmath.mpf(5 * g) / (2 * n_target))
-        lo = mpmath.mpf(0)
         hi = muc * (1 - mpmath.mpf(2) ** (-min(prec - 10, 200)))
         if mean_cusps(g, hi, prec, cache) < n_target:
             raise DomainError(
                 f"target {n_target} unreachable below mu_c at this precision")
-        for _ in range(prec + 10):
-            mid = (lo + hi) / 2
-            if mean_cusps(g, mid, prec, cache) < n_target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= rel_tol * hi / 16:
-                break
-        mu = (lo + hi) / 2
+
+        def fdf(mu):
+            m1 = mean_cusps(g, mu, prec, cache)
+            m2 = factorial_moment(g, 1, mu, prec, cache).to_mpf(prec)
+            return m1 - n_target, (m2 + m1 - m1 * m1) / mu
+
+        x0 = seed if 0 < seed < hi else hi / 2
+        mu = _newton_root(fdf, mpmath.mpf(0), hi, x0, rel_tol / 16)
         return MuSolveResult(mu=+mu, seed=+seed,
                              mean=mean_cusps(g, mu, prec, cache))
 

@@ -5,8 +5,9 @@ J_0, the critical fugacity mu_c = j_0 J_1(j_0) / (4 pi^2), the root
 R(mu) of Z(., mu), the moments M_k(mu) and the two limit-law constants.
 Every argument that reaches the Bessel series satisfies x <= j_0 < 2.41,
 where the series is rapidly convergent, so no asymptotic expansions are
-needed.  Root finding is plain bisection: both bracket functions are
-strictly monotone on their intervals.
+needed.  Monotone equations are solved by _newton_root, a Newton
+iteration that keeps a bracket around the root and bisects when a Newton
+step would leave it; the layer's derivatives are all in closed form.
 
 Exact side: the formal mu-series of R and of every M_k with PiPoly
 coefficients, plus the extraction of classical Weil-Petersson volumes
@@ -25,6 +26,41 @@ from tightwp.ring import (DEFAULT_PREC, MuSeries, PiPoly, Rational,
                           series_invert_z)
 
 _R1 = Rational(1)
+
+
+def _newton_root(fdf, lo, hi, x0, rel_tol):
+    """Root of an increasing f on [lo, hi] with f(lo) <= 0 <= f(hi).
+
+    fdf(x) returns (f(x), f'(x)).  Each evaluation narrows the bracket by
+    the sign of f.  The Newton step is taken when f' > 0, the step lands
+    strictly inside the bracket and it is at most half the previous step;
+    otherwise the bracket is bisected, so convergence is never slower than
+    bisection.  Stops once the Newton step, or the bracket, is within
+    rel_tol of x; rel_tol must exceed the unit roundoff of the arithmetic.
+    Only generic arithmetic is used, so floats and mpf both work.
+    """
+    x = x0
+    last = hi - lo
+    while True:
+        f, df = fdf(x)
+        if f == 0:
+            return x
+        if f < 0:
+            lo = x
+        else:
+            hi = x
+        newton = df > 0
+        if newton:
+            step = f / df
+            if abs(step) <= rel_tol * abs(x):
+                return x - step
+            newton = lo < x - step < hi and 2 * abs(step) <= abs(last)
+        if not newton:
+            step = x - (lo + hi) / 2
+            if 2 * abs(step) <= rel_tol * abs(x):
+                return x - step
+        x -= step
+        last = step
 
 
 def bessel_j(k: int, x, prec: int = DEFAULT_PREC):
@@ -75,21 +111,12 @@ _j0_cache: dict = {}
 
 
 def find_j0(prec: int = DEFAULT_PREC):
-    """First zero of J_0, by bisection on [2, 3] where J_0 changes sign."""
-    cached = _j0_cache.get(prec)
-    if cached is not None:
-        return cached
-    with mp.workprec(prec + 16):
-        lo, hi = mpmath.mpf(2), mpmath.mpf(3)
-        # J0(2) > 0 > J0(3)
-        for _ in range(prec + 24):
-            mid = (lo + hi) / 2
-            if bessel_j(0, mid, prec + 16) > 0:
-                lo = mid
-            else:
-                hi = mid
-        val = +((lo + hi) / 2)
-    _j0_cache[prec] = val
+    """First positive zero of J_0, as mpmath.besseljzero gives it at
+    prec + 16 bits; cached per precision."""
+    val = _j0_cache.get(prec)
+    if val is None:
+        with mp.workprec(prec + 16):
+            val = _j0_cache[prec] = mpmath.besseljzero(0, 1)
     return val
 
 
@@ -112,11 +139,18 @@ def r_max(prec: int = DEFAULT_PREC):
 
 
 def solve_r(mu, prec: int = DEFAULT_PREC):
-    """The unique root of Z(., mu) in [0, j_0^2/(8 pi^2)], by bisection.
+    """The unique root of Z(., mu) in [0, r_max = j_0^2/(8 pi^2)], by
+    Newton's method (_newton_root).
 
-    Z is strictly increasing in r on the bracket (its r-derivative is
-    J_0(2 pi sqrt(2r)) > 0 there), with Z(0, mu) = -mu <= 0 and
-    Z(r_max, mu) = mu_c - mu >= 0.
+    On the bracket Z is strictly increasing, dZ/dr = J_0(2 pi sqrt(2r))
+    > 0, and concave, with Z(0, mu) = -mu <= 0 and Z(r_max, mu) =
+    mu_c - mu >= 0.  Since dZ/dr vanishes at r_max, the root is nearly
+    double for mu close to mu_c, and Newton started far from it would
+    only halve the error per step.  It starts instead from the larger of
+    two lower bounds of the root: mu, the root of the tangent r - mu at
+    r = 0, and the root of the quadratic model (mu_c - mu) -
+    b (r_max - r)^2 with b = -Z''(r_max)/2 = pi^2 mu_c / r_max.  Newton
+    on a concave increasing function climbs monotonically from the left.
     """
     with mp.workprec(prec + 16):
         mu = mpmath.mpf(mu)
@@ -125,16 +159,17 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
             raise DomainError(f"mu={mu} outside [0, mu_c]")
         if mu == 0:
             return mpmath.mpf(0)
-        lo = mpmath.mpf(0)
         hi = r_max(prec)
-        for _ in range(prec + 24):
-            mid = (lo + hi) / 2
-            if z_value(mid, mu, prec) < 0:
-                lo = mid
-            else:
-                hi = mid
-        val = +((lo + hi) / 2)
-    return val
+        if mu >= muc:
+            return hi
+
+        def fdf(r):
+            slope = bessel_j(0, 2 * mp.pi * mpmath.sqrt(2 * r), prec)
+            return z_value(r, mu, prec), slope
+
+        x0 = max(mu, hi - mpmath.sqrt((muc - mu) * hi / muc) / mp.pi)
+        return _newton_root(fdf, mpmath.mpf(0), hi, x0,
+                            mpmath.mpf(2) ** -prec)
 
 
 def moment(k: int, mu, prec: int = DEFAULT_PREC):
@@ -228,24 +263,44 @@ def make_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
         if mu < 0 or mu >= mu_critical(prec):
             raise DomainError(f"mu={mu} outside [0, mu_c)")
         r = solve_r(mu, prec)
-        moms = tuple(_moment_at_r(k, r, prec) for k in range(d_max + 1))
-    return MomentFrame(mu=mu, r_value=r, moments=moms, precision=prec)
+    return _resized(MomentFrame(mu=mu, r_value=r, moments=(),
+                                precision=prec), d_max)
 
 
-_frame_cache: dict = {}
+def _resized(frame: MomentFrame, d_max: int) -> MomentFrame:
+    """The frame at the same mu and R(mu) holding M_0..M_{d_max}: a prefix
+    of frame's moments, extended at frame.r_value where it is too short.
+    A moment depends on R alone, so the values do not depend on d_max."""
+    have = frame.moments
+    moms = have[:d_max + 1] + tuple(
+        _moment_at_r(k, frame.r_value, frame.precision)
+        for k in range(len(have), d_max + 1))
+    return MomentFrame(mu=frame.mu, r_value=frame.r_value, moments=moms,
+                       precision=frame.precision)
+
+
+_frame_cache: dict = {}  # (mu, prec) -> {d_max: MomentFrame}
 
 
 def cached_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
     """make_frame with memoization; frames are immutable and shareable.
 
-    The key is mu exactly as make_frame converts it, at prec + 16 bits.
+    The key is (mu, prec), with mu exactly as make_frame converts it, at
+    prec + 16 bits, so R(mu) is solved once per key.  A frame for a new
+    d_max is cut from, or extended beyond, the widest one held for the key.
     """
+    if d_max < 0:
+        raise DomainError("d_max must be >= 0")
     with mp.workprec(prec + 16):
-        key = (mpmath.mpf(mu), d_max, prec)
-    frame = _frame_cache.get(key)
-    if frame is None:
+        key = (mpmath.mpf(mu), prec)
+    frames = _frame_cache.get(key)
+    if frames is None:
         frame = make_frame(mu, d_max, prec)
-        _frame_cache[key] = frame
+        _frame_cache[key] = {d_max: frame}
+        return frame
+    frame = frames.get(d_max)
+    if frame is None:
+        frame = frames[d_max] = _resized(frames[max(frames)], d_max)
     return frame
 
 

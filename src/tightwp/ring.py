@@ -222,6 +222,9 @@ class PiPoly:
         return self._c == other._c
 
     def __hash__(self):
+        # a constant equals its rational (see __eq__), so it hashes as one
+        if self._c.keys() <= {0}:
+            return hash(self._c.get(0, _R0))
         return hash(frozenset(self._c.items()))
 
     def eval(self, prec: int = DEFAULT_PREC):

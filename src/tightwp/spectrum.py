@@ -21,7 +21,8 @@ import mpmath
 from mpmath import mp
 
 from tightwp.errors import DomainError
-from tightwp.moments import alpha1, cached_frame, mu_critical
+from tightwp.moments import (_newton_root, alpha1, cached_frame,
+                             mu_critical)
 from tightwp.ring import DEFAULT_PREC, to_mpf
 from tightwp.tightpoly import admissible, p_gn
 
@@ -311,25 +312,31 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     """One realization of the limiting process on [0, t_max].
 
     Draws N ~ Poisson(lambda_{0,t_max}), then N i.i.d. points with
-    density (cosh t - 1)/t / lambda_{0,t_max} by inverse-CDF bisection.
+    density (cosh t - 1)/t / lambda_{0,t_max} by inverting the CDF: each
+    point solves lambda_{0,t} = u for a uniform u in [0, lambda_{0,t_max})
+    by Newton's method (moments._newton_root), with slope (cosh t - 1)/t,
+    taken as its series t/2 + t^3/24 near t = 0.  Newton starts at
+    min(2 sqrt(u), t_max), right of the root because lambda_{0,t} >= t^2/4,
+    and lambda is convex, so the iterates descend monotonically.
     Deterministic for a fixed seed.
     """
     if not t_max > 0:
         raise DomainError("t_max must be positive")
+    t_max = float(t_max)
     rng = _rng(seed)
-    lam = _intensity_f(float(t_max))
+    lam = _intensity_f(t_max)
     n = _poisson_draw(rng, lam)
     pts = []
     for _ in range(n):
         u = rng.random() * lam
-        lo, hi = 0.0, float(t_max)
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if _intensity_f(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        pts.append((lo + hi) / 2)
+
+        def fdf(t, u=u):
+            slope = (t / 2 + t ** 3 / 24 if t < 1e-2
+                     else (math.cosh(t) - 1) / t)
+            return _intensity_f(t) - u, slope
+
+        pts.append(_newton_root(fdf, 0.0, t_max,
+                                min(2 * math.sqrt(u), t_max), 2.0 ** -50))
     return PointSample(points=tuple(sorted(pts)))
 
 

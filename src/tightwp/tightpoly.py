@@ -205,34 +205,17 @@ def p_gn(g: int, n: int, cache: "PolyCache | None" = None,
 
 # -- validation --------------------------------------------------------------
 
-def _fixed_rationals(seed: int, count: int):
-    """Deterministic stream of small nonzero rationals for spot checks."""
-    import random
-
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        num = rng.randint(-9, 9)
-        den = rng.randint(1, 9)
-        if num:
-            out.append(Rational(num, den))
-    return out
-
-
-def validate_cell(cell: PolyCell, sigma_samples: int = 2,
-                  seed: int = 20240601) -> bool:
+def validate_cell(cell: PolyCell) -> bool:
     """True iff the cell is boundary-symmetric and graded-homogeneous.
 
     Symmetry is checked on adjacent transpositions (which generate the
-    full symmetric group); homogeneity substitutes ell -> sigma ell,
-    m_k -> sigma^k m_k for random rational sigma and compares with the
-    sigma^(3g-3+n) rescaling, exactly.
+    full symmetric group); homogeneity compares the graded degree of
+    every monomial with 3g-3+n.
     """
-    return not validate_cell_report(cell, sigma_samples, seed)
+    return not validate_cell_report(cell)
 
 
-def validate_cell_report(cell: PolyCell, sigma_samples: int = 2,
-                         seed: int = 20240601) -> list:
+def validate_cell_report(cell: PolyCell) -> list:
     """Empty list if valid, else a list of human-readable failures."""
     problems = []
     poly = cell.poly
@@ -244,15 +227,12 @@ def validate_cell_report(cell: PolyCell, sigma_samples: int = 2,
             problems.append(f"not symmetric under swapping boundaries "
                             f"{i} and {i + 1}")
     d = cell.d
-    for sigma in _fixed_rationals(seed, sigma_samples):
-        scale_all = sigma ** d
-        for key, q in poly.terms.items():
-            g = poly.grade(key)
-            if q * sigma ** g != q * scale_all:
-                problems.append(
-                    f"not homogeneous: monomial {key} has graded degree "
-                    f"{g} != {d}")
-                break
+    for key in poly.terms:
+        grade = poly.grade(key)
+        if grade != d:
+            problems.append(f"not homogeneous: monomial {key} has graded "
+                            f"degree {grade} != {d}")
+            break
     return problems
 
 

@@ -99,6 +99,76 @@ class TestSolveR:
                 assert abs(fd - ref) < 1e-6 * (1 + abs(ref))
 
 
+    def test_matches_bisection_reference(self):
+        # Z(r_max, mu_c) = 0 exactly, but with mu_c rounded the equation has
+        # a root pair r_max -+ O(2^(-prec/2)) that bisection may pick from;
+        # so at mu = mu_c the reference is r_max itself
+        def bisection(mu, prec):
+            with mp.workprec(prec + 16):
+                lo, hi = mpmath.mpf(0), moments.r_max(prec)
+                for _ in range(prec + 24):
+                    mid = (lo + hi) / 2
+                    if moments.z_value(mid, mu, prec) < 0:
+                        lo = mid
+                    else:
+                        hi = mid
+                return (lo + hi) / 2
+
+        for prec in (53, 113, 176):
+            muc = moments.mu_critical(prec)
+            with mp.workprec(prec + 16):
+                assert moments.solve_r(muc, prec) == moments.r_max(prec)
+                for gap in ("1e-6", "1e-3", "0.1", "0.5", "0.9", "0.999"):
+                    mu = muc * (1 - mpmath.mpf(gap))
+                    got = moments.solve_r(mu, prec)
+                    want = bisection(mu, prec)
+                    assert abs(got / want - 1) <= mpmath.mpf(2) ** (8 - prec)
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def _recorded(fdf):
+        seen = []
+
+        def wrapped(x):
+            seen.append(x)
+            return fdf(x)
+        return wrapped, seen
+
+    def test_convex_from_the_right_float(self):
+        fdf, seen = self._recorded(lambda x: (x * x - 2, 2 * x))
+        root = moments._newton_root(fdf, 0.0, 2.0, 2.0, 2.0 ** -50)
+        assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
+        assert all(b < a for a, b in zip(seen, seen[1:]))  # monotone
+        assert len(seen) <= 7
+
+    def test_concave_from_the_left_mpf(self):
+        with mp.workprec(200):
+            def fdf(x):
+                return 0.5 - mpmath.exp(-x), mpmath.exp(-x)
+
+            fdf, seen = self._recorded(fdf)
+            root = moments._newton_root(fdf, mpmath.mpf(0), mpmath.mpf(3),
+                                        mpmath.mpf(0), mpmath.mpf(2) ** -190)
+            assert abs(root - mpmath.log(2)) <= mpmath.mpf(2) ** -190
+            assert all(b > a for a, b in zip(seen, seen[1:]))
+            assert len(seen) <= 10
+
+    def test_falls_back_to_bisection(self):
+        # Newton from x = 6 on atan(x - 1) jumps far below -10, outside the
+        # bracket, so the next point is the bisection midpoint
+        fdf, seen = self._recorded(
+            lambda x: (math.atan(x - 1), 1 / (1 + (x - 1) ** 2)))
+        root = moments._newton_root(fdf, -10.0, 10.0, 6.0, 2.0 ** -50)
+        assert seen[1] == (-10.0 + 6.0) / 2
+        assert abs(root - 1) <= 2 * math.ulp(1.0)
+        # f' = 0 at the start: bisect as well
+        fdf, seen = self._recorded(lambda x: (x ** 3 - 1, 3 * x * x))
+        root = moments._newton_root(fdf, -2.0, 3.0, 0.0, 2.0 ** -50)
+        assert seen[1] == 1.5
+        assert abs(root - 1) <= 2 * math.ulp(1.0)
+
+
 class TestMoments:
     def test_mu_zero_limits(self):
         with mp.workprec(PREC):
@@ -173,6 +243,28 @@ class TestMoments:
         assert a is not b
         assert (a.mu, b.mu) == (mu, near)
         assert moments.cached_frame(mu, 1, prec) is a
+
+    def test_cached_frame_solves_once_per_mu_and_prec(self, monkeypatch):
+        calls = []
+        solve_r = moments.solve_r
+
+        def counted(mu, prec):
+            calls.append((mu, prec))
+            return solve_r(mu, prec)
+
+        monkeypatch.setattr(moments, "solve_r", counted)
+        prec = 97
+        with mp.workprec(prec + 16):
+            mu = moments.mu_critical(prec) * mpmath.mpf("0.123")
+        frames = {d: moments.cached_frame(mu, d, prec) for d in (3, 1, 6)}
+        assert len(calls) == 1
+        for d, frame in frames.items():
+            assert frame.d_max == d
+            assert moments.cached_frame(mu, d, prec) is frame
+            assert frame.moments == moments.make_frame(mu, d, prec).moments
+        calls.clear()
+        moments.cached_frame(mu, 2, 113)  # another precision, another key
+        assert len(calls) == 1
 
 
 class TestMomentSeries:

@@ -58,6 +58,15 @@ class TestPiPoly:
         p = PiPoly({0: Rational(-7, 3), 4: Rational(22, 5)})
         assert PiPoly.from_obj(p.to_obj()) == p
 
+    def test_hash_agrees_with_eq_for_constants(self):
+        # equal objects must hash alike, or sets and dicts lose them
+        for q in (1, 0, Rational(-7, 3)):
+            p = PiPoly.const(q)
+            assert p == q and hash(p) == hash(q)
+            assert p in {q} and q in {p}
+        assert PiPoly.zero() in {0}
+        assert hash(PiPoly({0: 2, 1: 1})) == hash(PiPoly({1: 1, 0: 2}))
+
 
 class TestMuSeries:
     def test_binary_ops_truncate_to_smaller_order(self):

@@ -214,6 +214,34 @@ class TestSamplers:
         with pytest.raises(DomainError):
             spectrum.sample_poisson_process(0.0, 1)
 
+    @staticmethod
+    def _bisection_sample(t_max, seed):
+        """Reference sampler: the same draws, each point found by 60
+        bisection steps of the float intensity on [0, t_max]."""
+        rng = spectrum._rng(seed)
+        lam = spectrum._intensity_f(t_max)
+        pts = []
+        for _ in range(spectrum._poisson_draw(rng, lam)):
+            u = rng.random() * lam
+            lo, hi = 0.0, t_max
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if spectrum._intensity_f(mid) < u:
+                    lo = mid
+                else:
+                    hi = mid
+            pts.append((lo + hi) / 2)
+        return sorted(pts)
+
+    def test_poisson_points_match_bisection_reference(self):
+        for seed in range(400):
+            t_max = 1 + 3 * (seed % 61) / 60
+            got = spectrum.sample_poisson_process(t_max, seed).points
+            want = self._bisection_sample(t_max, seed)
+            assert len(got) == len(want)
+            for t, ref in zip(got, want):
+                assert abs(t - ref) <= 4 * math.ulp(ref), (seed, t_max)
+
     def test_cusp_count_determinism_and_support(self):
         muc = moments.mu_critical(PREC)
         mu = muc / 2

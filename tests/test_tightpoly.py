@@ -94,6 +94,9 @@ class TestPgn:
         bad = tightpoly.PolyCell(2, 2, TightPoly(2, cell.d, bad_terms))
         assert any("homogeneous" in msg
                    for msg in tightpoly.validate_cell_report(bad))
+        # the first bad monomial is reported once
+        assert sum("homogeneous" in msg
+                   for msg in tightpoly.validate_cell_report(bad)) == 1
 
     def test_asymmetric_cell_reported(self):
         poly = TightPoly(2, 0, {(1, 0): Rational(1)})
