@@ -9,13 +9,14 @@ needed.  Monotone equations are solved by _newton_root, a Newton
 iteration that keeps a bracket around the root and bisects when a Newton
 step would leave it; the layer's derivatives are all in closed form.
 
-Exact side: the formal mu-series of R and of every M_k with PiPoly
-coefficients, plus the extraction of classical Weil-Petersson volumes
-V_{g,n+p}(0) from the cusp generating function.
+Exact side: the formal mu-series of R and of every M_k, each a MuSeries
+of single-power-of-pi^2 coefficients, plus the extraction of classical
+Weil-Petersson volumes V_{g,n+p}(0) from the cusp generating function.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import mpmath
@@ -107,17 +108,12 @@ def z_value(r, mu, prec: int = DEFAULT_PREC):
         return +val
 
 
-_j0_cache: dict = {}
-
-
+@functools.cache
 def find_j0(prec: int = DEFAULT_PREC):
     """First positive zero of J_0, as mpmath.besseljzero gives it at
     prec + 16 bits; cached per precision."""
-    val = _j0_cache.get(prec)
-    if val is None:
-        with mp.workprec(prec + 16):
-            val = _j0_cache[prec] = mpmath.besseljzero(0, 1)
-    return val
+    with mp.workprec(prec + 16):
+        return mpmath.besseljzero(0, 1)
 
 
 def mu_critical(prec: int = DEFAULT_PREC):
@@ -306,28 +302,20 @@ def cached_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
 
 # -- exact formal series ----------------------------------------------------
 
-_r_series_cache: dict = {}
-_r_pows_cache: dict = {}
-
-
+@functools.cache
 def r_series(order: int) -> MuSeries:
     """Cached R(mu) series."""
-    s = _r_series_cache.get(order)
-    if s is None:
-        s = series_invert_z(order)
-        _r_series_cache[order] = s
-    return s
+    return series_invert_z(order)
 
 
-def _r_pows(order: int):
-    pows = _r_pows_cache.get(order)
-    if pows is None:
-        r = r_series(order)
-        pows = [MuSeries([PiPoly.const(1)], order=order)]
-        for _ in range(order):
-            pows.append(pows[-1] * r)
-        _r_pows_cache[order] = pows
-    return pows
+@functools.cache
+def _r_pows(order: int) -> tuple:
+    """(R^0, ..., R^order) as series of the given order; cached."""
+    r = r_series(order)
+    pows = [MuSeries([1], order=order)]
+    for _ in range(order):
+        pows.append(pows[-1] * r)
+    return tuple(pows)
 
 
 def moment_series(k: int, order: int) -> MuSeries:

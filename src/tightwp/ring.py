@@ -7,7 +7,9 @@ threads:
                       ``fractions.Fraction`` fallback).  Always stored in
                       lowest terms with positive denominator.
 * ``PiPoly``       -- polynomials in pi^2 with Rational coefficients.
-* ``MuSeries``     -- truncated power series in mu with PiPoly coefficients.
+* ``MuSeries``     -- truncated power series in mu whose coefficients are
+                      single powers of pi^2: one Rational per power
+                      of mu plus a pi^2-degree shift.
 * ``TightPoly``    -- sparse multivariate polynomials in the squared
                       boundary lengths ell_i = L_i^2 and the moment
                       variables m_1..m_D, with Rational coefficients.
@@ -21,6 +23,7 @@ work lives in :mod:`tightwp.boltzmann`.
 
 from __future__ import annotations
 
+import math
 import warnings
 from typing import Iterable, Mapping, Sequence
 
@@ -252,29 +255,39 @@ class PiPoly:
 
 
 _PP0 = PiPoly.zero()
-_PP1 = PiPoly.const(1)
 
 
 class MuSeries:
-    """Truncated power series in mu over PiPoly coefficients.
+    """Truncated power series in mu with [mu^j] = c_j pi^(2 (j + shift)).
 
-    The coefficient of mu^j sits at index j.  Binary operations first
-    truncate to the smaller order; composition requires the inner series
-    to have zero constant term.
+    Every series the package builds is graded so (R has shift -1, M_k
+    shift k, T_{g,n}(0, mu) shift 3g-3+n): one Rational c_j per power of
+    mu plus the shift, 0 for a zero series.  The constructor takes PiPoly
+    or Rational coefficients and raises DomainError on a list that is not
+    graded.  Binary operations first truncate to the smaller order.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("_c", "_s")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
-        c = [x if isinstance(x, PiPoly) else PiPoly.const(x) for x in coeffs]
-        if order is not None:
-            if order < 0:
-                raise DomainError("negative series order")
-            c = c[: order + 1]
-            c += [_PP0] * (order + 1 - len(c))
-        if not c:
-            c = [_PP0]
-        self._c = tuple(c)
+        rats, shifts = [], set()
+        for j, x in enumerate(_fit(list(coeffs), order)):
+            terms = x._c if isinstance(x, PiPoly) else PiPoly.const(x)._c
+            shifts.update(e - j for e in terms)
+            rats.append(next(iter(terms.values()), _R0))
+        if len(shifts) > 1:
+            raise DomainError("mu-series coefficients are not graded")
+        self._set(rats, shifts.pop() if shifts else 0)
+
+    def _set(self, rats: list, shift: int):
+        self._c = tuple(rats) or (_R0,)
+        self._s = shift if any(self._c) else 0
+
+    @classmethod
+    def _raw(cls, rats: list, shift: int) -> "MuSeries":
+        s = object.__new__(cls)
+        s._set(rats, shift)
+        return s
 
     @property
     def order(self) -> int:
@@ -283,10 +296,11 @@ class MuSeries:
     def coeff(self, j: int) -> PiPoly:
         if j < 0 or j > self.order:
             raise DomainError(f"coefficient index {j} out of range")
-        return self._c[j]
+        q = self._c[j]
+        return PiPoly.term(q, j + self._s) if q else _PP0
 
     def coeffs(self):
-        return self._c
+        return tuple(self.coeff(j) for j in range(self.order + 1))
 
     @classmethod
     def zero(cls, order: int) -> "MuSeries":
@@ -297,10 +311,10 @@ class MuSeries:
         """The series mu itself."""
         if order < 1:
             raise DomainError("identity needs order >= 1")
-        return cls([_PP0, _PP1], order=order)
+        return cls([_R0, _R1], order=order)
 
     def truncate(self, order: int) -> "MuSeries":
-        return MuSeries(self._c, order=order)
+        return MuSeries._raw(_fit(list(self._c), order), self._s)
 
     def _common(self, other: "MuSeries") -> int:
         return min(self.order, other.order)
@@ -309,40 +323,31 @@ class MuSeries:
         if not isinstance(other, MuSeries):
             return NotImplemented
         p = self._common(other)
-        return MuSeries([self._c[j] + other._c[j] for j in range(p + 1)])
-
-    def __sub__(self, other):
-        if not isinstance(other, MuSeries):
-            return NotImplemented
-        p = self._common(other)
-        return MuSeries([self._c[j] - other._c[j] for j in range(p + 1)])
-
-    def __neg__(self):
-        return MuSeries([-x for x in self._c])
+        a, b = self._c[:p + 1], other._c[:p + 1]
+        if any(a) and any(b) and self._s != other._s:
+            raise DomainError("cannot add mu-series of different shifts")
+        return MuSeries._raw([x + y for x, y in zip(a, b)],
+                             self._s if any(a) else other._s)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Rational, PiPoly)):
-            return MuSeries([x * other for x in self._c])
+        if isinstance(other, PiPoly):
+            if len(other._c) > 1:
+                raise DomainError("a mu-series scales by one power of pi^2")
+            e, q = next(iter(other._c.items()), (0, _R0))
+            return MuSeries._raw([x * q for x in self._c], self._s + e)
+        if isinstance(other, (int, Rational)):
+            return MuSeries._raw([x * other for x in self._c], self._s)
         if not isinstance(other, MuSeries):
             return NotImplemented
-        p = self._common(other)
-        out = [_PP0] * (p + 1)
-        for i in range(p + 1):
-            a = self._c[i]
-            if a.is_zero:
-                continue
-            for j in range(p + 1 - i):
-                b = other._c[j]
-                if not b.is_zero:
-                    out[i + j] = out[i + j] + a * b
-        return MuSeries(out)
+        return MuSeries._raw(_conv(self._c, other._c, self._common(other)),
+                             self._s + other._s)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative series power")
-        out = MuSeries([_PP1], order=self.order)
+        out = MuSeries([_R1], order=self.order)
         for _ in range(k):
             out = out * self
         return out
@@ -350,39 +355,33 @@ class MuSeries:
     def __eq__(self, other):
         if not isinstance(other, MuSeries):
             return NotImplemented
-        return self._c == other._c
+        return self._c == other._c and self._s == other._s
 
     __hash__ = None
 
     def compose(self, inner: "MuSeries") -> "MuSeries":
-        """self o inner, truncated to min(orders); inner(0) must vanish."""
-        if not inner.coeff(0).is_zero:
-            raise DomainError("composition requires zero inner constant term")
+        """self o inner, truncated to min(orders); inner(0) must vanish and
+        inner must have shift -1 (as R does), so the result keeps the
+        shift of self."""
         p = self._common(inner)
         inner = inner.truncate(p)
-        out = MuSeries([self._c[p]], order=p)
+        if inner._c[0]:
+            raise DomainError("composition requires zero inner constant term")
+        if any(inner._c) and inner._s != -1:
+            raise DomainError("composition requires an inner shift of -1")
+        out = [self._c[p]] + [_R0] * p
         for j in range(p - 1, -1, -1):
-            out = out * inner + MuSeries([self._c[j]], order=p)
-        return out
+            out = _conv(out, inner._c, p)
+            out[0] = self._c[j]
+        return MuSeries._raw(out, self._s)
 
     def inverse(self) -> "MuSeries":
         """Multiplicative inverse; the constant term must be a nonzero
         rational (pi^2-degree zero)."""
-        c0 = self._c[0]
-        if c0.is_zero or c0.degree > 0:
+        if not self._c[0] or self._s != 0:
             raise DomainError("series inverse needs a nonzero rational "
                               "constant term")
-        inv0 = PiPoly.const(_R1 / c0.coeff(0))
-        p = self.order
-        out = [inv0] + [_PP0] * p
-        for s in range(1, p + 1):
-            acc = _PP0
-            for t in range(1, s + 1):
-                a = self._c[t]
-                if not a.is_zero:
-                    acc = acc + a * out[s - t]
-            out[s] = -(inv0 * acc)
-        return MuSeries(out)
+        return MuSeries._raw(_inv(self._c), 0)
 
     def eval(self, mu_value, prec: int = DEFAULT_PREC):
         """Horner evaluation at a numeric mu."""
@@ -390,17 +389,48 @@ class MuSeries:
             x = mpmath.mpf(mu_value)
             total = mpmath.mpf(0)
             for j in range(self.order, -1, -1):
-                total = total * x + self._c[j].eval(prec)
+                total = total * x + self.coeff(j).eval(prec)
             return total
 
     def __repr__(self):
-        return f"MuSeries(order={self.order}, coeffs={list(self._c)!r})"
+        return f"MuSeries(order={self.order}, coeffs={list(self.coeffs())!r})"
+
+
+def _fit(c: list, order: int | None) -> list:
+    """c cut or padded with zeros to order + 1 entries (as is for None)."""
+    if order is None:
+        return c
+    if order < 0:
+        raise DomainError("negative series order")
+    return c[:order + 1] + [_R0] * (order + 1 - len(c))
+
+
+def _conv(a: Sequence, b: Sequence, p: int) -> list:
+    """Product of two rational coefficient lists, truncated at mu^p."""
+    out = [_R0] * (p + 1)
+    for i in range(p + 1):
+        if a[i]:
+            for j in range(p + 1 - i):
+                if b[j]:
+                    out[i + j] += a[i] * b[j]
+    return out
+
+
+def _inv(c: Sequence) -> list:
+    """Reciprocal of a rational coefficient list with c[0] != 0."""
+    inv0 = _R1 / c[0]
+    out = [inv0] + [_R0] * (len(c) - 1)
+    for s in range(1, len(c)):
+        acc = _R0
+        for t in range(1, s + 1):
+            if c[t]:
+                acc += c[t] * out[s - t]
+        out[s] = -(inv0 * acc)
+    return out
 
 
 def z_r_coefficient(m: int) -> PiPoly:
     """Coefficient of r^(m+1) in Z(r, mu) + mu:  (-2 pi^2)^m / (m! (m+1)!)."""
-    import math
-
     q = Rational((-2) ** m, math.factorial(m) * math.factorial(m + 1))
     return PiPoly.term(q, m)
 
@@ -413,38 +443,16 @@ def series_invert_z(order: int) -> MuSeries:
     the inversion runs on flat rational coefficients via Lagrange
     inversion: [mu^j] R = (1/j) [r^(j-1)] (r / f(r))^j.
     """
-    import math
-
     if order < 1:
         raise DomainError("series_invert_z needs order >= 1")
-    p = order
-    # f(r)/r = 1 + sum_{m>=1} c_m r^m with pi^2 scaled out
-    f_over_r = [_R1] + [
-        Rational((-2) ** m, math.factorial(m) * math.factorial(m + 1))
-        for m in range(1, p)
-    ]
-    # h = r/f(r): reciprocal of f/r
-    h = [_R1] + [_R0] * (p - 1)
-    for s in range(1, p):
-        acc = _R0
-        for t in range(1, s + 1):
-            acc += f_over_r[t] * h[s - t]
-        h[s] = -acc
-    a = [_R0] * (p + 1)
-    h_pow = list(h)  # h^1
-    a[1] = h_pow[0]
-    for j in range(2, p + 1):
-        nxt = [_R0] * p
-        for i in range(p):
-            hi = h_pow[i]
-            if hi:
-                for t in range(p - i):
-                    if h[t]:
-                        nxt[i + t] += hi * h[t]
-        h_pow = nxt
-        a[j] = h_pow[j - 1] / j
-    coeffs = [_PP0] + [PiPoly.term(a[j], j - 1) for j in range(1, p + 1)]
-    return MuSeries(coeffs)
+    # h = r/f(r), the reciprocal of f(r)/r, with pi^2 scaled out
+    h = _inv([z_r_coefficient(m).coeff(m) for m in range(order)])
+    a = [_R0, h[0]]
+    h_pow = h
+    for j in range(2, order + 1):
+        h_pow = _conv(h_pow, h, order - 1)
+        a.append(h_pow[j - 1] / j)
+    return MuSeries._raw(a, -1)
 
 
 class TightPoly:

@@ -71,6 +71,16 @@ class TestMoments:
         assert obj["moments"]["M1"].startswith("-19.7392")
         assert obj["mu_c"].startswith("0.0316")
 
+    def test_exact_series_output(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "moments",
+                           "--mu", "0", "--dmax", "2", "--order", "3")
+        assert code == 0
+        series = json.loads(out)["series"]
+        assert series["R"] == [[], [[0, "1/1"]], [[1, "1/1"]],
+                               [[2, "5/3"]]]
+        assert series["M0"] == [[[0, "1/1"]], [[1, "-2/1"]],
+                                [[2, "-1/1"]], [[3, "-14/9"]]]
+
     def test_out_of_range_mu(self, capsys):
         code, _, err = run(capsys, "moments", "--mu", "0.9")
         assert code == 2

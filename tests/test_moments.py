@@ -311,10 +311,14 @@ class TestVolumeExtraction:
         v11 = moments.volume_extract(1, 1, 1)
         assert v11[0] == PiPoly.term(Rational(1, 12), 1)
         assert v11[1] == PiPoly.term(Rational(1, 4), 2)
+        # V_{2,0} = 43 pi^6 / 2160 (classical table value)
+        assert moments.volume_extract(2, 0, 0)[0] == \
+            PiPoly.term(Rational(43, 2160), 3)
 
     def test_cross_route_consistency(self):
         """V_{0,n}(0) extracted through (0,3) and (0,4) must agree, and
-        likewise through (1,1) and (1,2): independent recursion chains."""
+        likewise through (1,1) and (1,2) and through (2,0), (2,1) and
+        (2,2): independent recursion chains."""
         via03 = moments.volume_extract(0, 3, 4)
         via04 = moments.volume_extract(0, 4, 3)
         for p in range(4):
@@ -323,6 +327,12 @@ class TestVolumeExtraction:
         via12 = moments.volume_extract(1, 2, 2)
         for p in range(3):
             assert via11[p + 1] == via12[p]
+        via20 = moments.volume_extract(2, 0, 3)
+        via21 = moments.volume_extract(2, 1, 2)
+        via22 = moments.volume_extract(2, 2, 1)
+        for p in range(2):
+            assert via20[p + 2] == via21[p + 1] == via22[p]
+        assert via20[1] == via21[0]
 
     def test_known_v06(self):
         # V_{0,6}(0) = 244 pi^6 / 3 (classical table value)

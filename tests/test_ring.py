@@ -68,26 +68,32 @@ class TestPiPoly:
         assert hash(PiPoly({0: 2, 1: 1})) == hash(PiPoly({1: 1, 0: 2}))
 
 
+def _graded(cs, shift):
+    """The MuSeries with [mu^j] = cs[j] * pi^(2 (j + shift))."""
+    return MuSeries([PiPoly.term(c, j + shift) if c else 0
+                     for j, c in enumerate(cs)])
+
+
 class TestMuSeries:
     def test_binary_ops_truncate_to_smaller_order(self):
-        a = MuSeries([1, 1, 1, 1])
-        b = MuSeries([1, 2])
+        a = _graded([1, 1, 1, 1], 0)
+        b = _graded([1, 2], 0)
         assert (a + b).order == 1
         assert (a * b).order == 1
-        assert (a * b).coeff(1) == PiPoly.const(3)
+        assert (a * b).coeff(1) == PiPoly.term(3, 1)
 
     def test_compose_identity(self):
-        inner = MuSeries([0, Rational(2), Rational(5)])
+        inner = _graded([0, Rational(2), Rational(5)], -1)
         ident = MuSeries.identity(2)
         assert ident.compose(inner) == inner
 
     def test_compose_needs_zero_constant_term(self):
-        with pytest.raises(DomainError):
-            MuSeries([1, 1]).compose(MuSeries([1, 1]))
+        with pytest.raises(DomainError, match="constant term"):
+            _graded([1, 1], 0).compose(_graded([1, 1], 0))
 
     def test_compose_truncate_commutes(self):
-        outer = MuSeries([Rational(1, 2), 3, Rational(-2, 7), 5, 1])
-        inner = MuSeries([0, 1, Rational(4, 3), -2, Rational(1, 9)])
+        outer = _graded([Rational(1, 2), 3, Rational(-2, 7), 5, 1], 2)
+        inner = _graded([0, 1, Rational(4, 3), -2, Rational(1, 9)], -1)
         full = outer.compose(inner)
         for order in (1, 2, 3):
             assert full.truncate(order) == \
@@ -100,10 +106,25 @@ class TestMuSeries:
         assert prod.coeff(1).is_zero and prod.coeff(2).is_zero
 
     def test_inverse_needs_rational_unit(self):
-        with pytest.raises(DomainError):
-            MuSeries([PiPoly({1: 1}), 1]).inverse()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="constant term"):
+            _graded([1, 1], 1).inverse()
+        with pytest.raises(DomainError, match="constant term"):
             MuSeries([0, 1]).inverse()
+
+    def test_non_graded_list_rejected(self):
+        with pytest.raises(DomainError, match="not graded"):
+            MuSeries([1, 1])
+        with pytest.raises(DomainError, match="not graded"):
+            MuSeries([PiPoly({0: 1, 1: 1})])
+
+    def test_scaling_by_a_power_of_pi2_shifts_the_degree(self):
+        s = _graded([1, Rational(-1, 3)], 0) * PiPoly.term(2, 3)
+        assert s == _graded([2, Rational(-2, 3)], 3)
+        assert s * PiPoly.zero() == MuSeries.zero(1)
+        with pytest.raises(DomainError):
+            s * PiPoly({0: 1, 1: 1})
+        with pytest.raises(DomainError):
+            s + _graded([1, 1], 0)
 
 
 class TestSeriesInvertZ:
