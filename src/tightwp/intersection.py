@@ -1,37 +1,68 @@
 """psi-class intersection numbers via the Virasoro/DVV recursion.
 
 ``intersection_number`` returns the exact rational
-<tau_{d_1} ... tau_{d_n}>_g, memoized on a canonical key.  The reduction
-order is: dimension gate, base cases, string equation (removes a tau_0),
-dilaton equation (removes a tau_1 when nothing larger is left), then the
-Virasoro recursion applied to the largest index.  Genus bookkeeping in
-the Virasoro step: the first sum keeps the genus, the joint tau_r tau_s
-term drops it by one, and the splitting term runs over g_1 + g_2 = g
-with stable factors only.
+<tau_{d_1} ... tau_{d_n}>_g.  The recursion itself runs on Python ints:
+it stores the scaled correlator
 
-The splitting sum is collapsed from subsets to sub-multisets with
-binomial weights, which turns <tau_2^m>-type keys from exponential to
-polynomial work.  The memo cache supports concurrent readers; writes are
+    X(g; d) = <tau_d>_g * prod (2 d_i + 1)!! * 2^c(g),
+    c(0) = 0,  c(g) = 4g - 1 for g >= 1,
+
+memoized on a canonical key, and the public functions divide by the
+scale once per key returned.  In the normalized form of Dijkgraaf,
+Verlinde and Verlinde (1991), N = <tau_d> prod (2 d_i + 1)!!, the
+reductions read
+
+    string    N(0, S)   = sum_j (2 d_j + 1) N(d_j - 1, S - j)
+    dilaton   N(1, S)   = 3 (2g - 2 + n) N(S)
+    Virasoro  N(k+1, S) = sum_j (2 d_j + 1) N(d_j + k, S - j)
+                + 1/2 sum_{r+s=k-1} [N_{g-1}(r, s, S)
+                                     + sum N_{g1}(r, I) N_{g2}(s, J)]
+
+with base cases X(0; 0,0,0) = X(1; 1) = 1, where S - j is S without its
+j-th entry; the splitting sum runs over g1 + g2 = g and sub-multisets
+I + J = S with stable factors only.  The reduction order
+is: base cases, string equation (removes a tau_0), dilaton equation
+(removes a tau_1 when nothing larger is left), then the Virasoro step on
+the largest index.
+
+X is always an integer, because the halved sum is even.  Each splitting
+pair (r, I, g1), (s, J, g2) other than the diagonal one (r = s, I = J,
+g1 = g2) comes twice.  A diagonal pair with g1 = g2 >= 1 carries the
+factor 2^(c(g) - 2 c(g/2)) = 2, the N_{g-1} term carries 2^3 or 2^4, and
+genus 0 is integral outright: X(0; d) = (n-3)! / prod d_i! * prod
+(2 d_i + 1)!!.  The worker checks the halving anyway and raises
+ArithmeticError on a remainder.
+
+The worker walks the recursion with an explicit stack, so a key of any
+depth needs no interpreter recursion.  The splitting sum is collapsed
+from subsets to sub-multisets with binomial weights, which turns
+<tau_2^m>-type keys from exponential to polynomial work; each
+sub-multiset is enumerated once per key and the dimension constraint
+fixes r for each g1.  The memo supports concurrent readers; writes are
 single dict inserts (atomic under the GIL) and recomputing a key is
 idempotent, so no locking is needed.
+
+``save_tau``/``load_tau`` persist the memo as a tau segment: rows
+[g, indices, "p/q"] holding the true correlator.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import sys
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import mpmath
 from mpmath import mp
 
-from tightwp.errors import DomainError, UnstableKeyError
-from tightwp.ring import DEFAULT_PREC, Rational, to_mpf
+from tightwp import cache as twpcache
+from tightwp.errors import CacheError, DomainError, UnstableKeyError
+from tightwp.ring import (DEFAULT_PREC, Rational, rat_from_str, rat_to_str,
+                          to_mpf)
 
 _R0 = Rational(0)
-_R1 = Rational(1)
 
 _DFACT = [1, 1]  # index k holds k!!; the convention (-1)!! = 1 is handled below
 
@@ -74,7 +105,10 @@ class TauKey:
         return 3 * self.genus - 3 + self.n
 
 
-_memo: dict = {}
+_memo: dict = {}    # (g, d) -> X(g; d), for every key the recursion reached
+_values: dict = {}  # (g, d) -> Rational, for every key returned so far
+
+_BASE = {(0, (0, 0, 0)): 1, (1, (1,)): 1}
 
 
 def cache_size() -> int:
@@ -83,6 +117,15 @@ def cache_size() -> int:
 
 def clear_cache():
     _memo.clear()
+    _values.clear()
+
+
+def _scale(g: int, d: Sequence[int]) -> int:
+    """2^c(g) prod (2 d_i + 1)!!, the factor X(g; d) carries."""
+    out = 1 << (4 * g - 1) if g else 1
+    for v in d:
+        out *= dfact(2 * v + 1)
+    return out
 
 
 def _multiplicities(d: Sequence[int]):
@@ -92,93 +135,121 @@ def _multiplicities(d: Sequence[int]):
     return out
 
 
-def _compute(g: int, d: tuple) -> Rational:
-    """Recursive worker; d is sorted descending and dimension-correct."""
-    key = (g, d)
-    val = _memo.get(key)
-    if val is not None:
-        return val
+def _plan(g: int, d: tuple):
+    """X(g; d) as (den, linear, bilinear): the sum of w X(a) over linear
+    and of w X(a) X(b) over bilinear, divided by den (1 or 2).
 
-    if g == 0 and d == (0, 0, 0):
-        _memo[key] = _R1
-        return _R1
-    if g == 1 and d == (1,):
-        val = Rational(1, 24)
-        _memo[key] = val
-        return val
-
+    d is sorted descending, dimension-correct and not a base case.
+    """
     if d[-1] == 0:
         # string equation: remove one tau_0
         rest = d[:-1]
-        total = _R0
-        for v, mv in _multiplicities(rest).items():
-            if v == 0:
-                continue
-            child = _remove_one(rest, v) + (v - 1,)
-            total += mv * _compute(g, _sort_desc(child))
-        _memo[key] = total
-        return total
-
+        return 1, [(mv * (2 * v + 1),
+                    (g, _sort_desc(_remove_one(rest, v) + (v - 1,))))
+                   for v, mv in _multiplicities(rest).items() if v], ()
     if d[0] == 1:
         # dilaton equation: all remaining indices are 1
         rest = d[1:]
-        val = (2 * g - 2 + len(rest)) * _compute(g, rest)
-        _memo[key] = val
-        return val
+        return 1, [(3 * (2 * g - 2 + len(rest)), (g, rest))], ()
 
-    # Virasoro step on the largest index
+    # Virasoro step on the largest index; the first sum is doubled, so
+    # that the whole right-hand side is over den = 2
     k = d[0] - 1
     rest = d[1:]
     mults = _multiplicities(rest)
+    linear = [(2 * mv * (2 * v + 1),
+               (g, _sort_desc(_remove_one(rest, v) + (k + v,))))
+              for v, mv in mults.items()]
+    if g:
+        # 2^(c(g) - c(g-1)); (r, s) and (s, r) give the same key
+        w = 8 if g == 1 else 16
+        for r in range((k + 1) // 2):
+            s = k - 1 - r
+            linear.append((w if r == s else 2 * w,
+                           (g - 1, _sort_desc(rest + (r, s)))))
 
-    s1 = _R0
-    for v, mv in mults.items():
-        child = _sort_desc(_remove_one(rest, v) + (k + v,))
-        s1 += Rational(mv * dfact(2 * (k + v) + 1), dfact(2 * v - 1)) \
-            * _compute(g, child)
-
-    s23 = _R0
-    for r in range(k):
-        s = k - 1 - r
-        w_rs = dfact(2 * r + 1) * dfact(2 * s + 1)
-        if g >= 1:
-            child = _sort_desc(rest + (r, s))
-            s23 += w_rs * _compute(g - 1, child)
-        # splitting term over ordered sub-multisets of rest
-        values = sorted(mults)
-        counts = [mults[v] for v in values]
-        for take in itertools.product(*(range(c + 1) for c in counts)):
-            size_i = sum(take)
-            sum_i = sum(v * t for v, t in zip(values, take))
-            # factor 1 dimension pins its genus: 3 g1 - 3 + |I| + 1 = r + sum(I)
-            num = r + sum_i + 2 - size_i
-            if num % 3:
+    # splitting term over sub-multisets I of rest with J = rest - I.  The
+    # pair (r, I, g1), (s, J, g2) and its mirror give the same product, so
+    # only the smaller of the two is kept, with weight 2 unless it is its
+    # own mirror.
+    bilinear = []
+    n_rest = len(rest)
+    values = sorted(mults)
+    counts = tuple(mults[v] for v in values)
+    for take in itertools.product(*(range(c + 1) for c in counts)):
+        comp = tuple(map(operator.sub, counts, take))
+        if take > comp:
+            continue
+        size_i = sum(take)
+        sum_i = sum(map(operator.mul, values, take))
+        part_i = part_j = None
+        # factor 1 dimension pins r: 3 g1 - 3 + |I| + 1 = r + sum(I)
+        for g1 in range(g + 1):
+            r = 3 * g1 - 2 + size_i - sum_i
+            if r < 0:
                 continue
-            g1 = num // 3
             g2 = g - g1
-            if g1 < 0 or g2 < 0:
+            if r >= k or (take == comp and g1 > g2):
+                break
+            if 2 * g1 - 1 + size_i <= 0 or 2 * g2 - 1 + n_rest - size_i <= 0:
                 continue
-            if 2 * g1 - 2 + size_i + 1 <= 0:
-                continue
-            if 2 * g2 - 2 + (len(rest) - size_i) + 1 <= 0:
-                continue
-            weight = 1
-            for c, t in zip(counts, take):
-                weight *= math.comb(c, t)
-            part_i = []
-            part_j = []
-            for v, c, t in zip(values, counts, take):
-                part_i += [v] * t
-                part_j += [v] * (c - t)
-            f1 = _compute(g1, _sort_desc(tuple(part_i) + (r,)))
-            if not f1:
-                continue
-            f2 = _compute(g2, _sort_desc(tuple(part_j) + (s,)))
-            s23 += (w_rs * weight) * f1 * f2
+            if part_i is None:
+                weight = 1
+                part_i, part_j = [], []
+                for v, c, t in zip(values, counts, take):
+                    weight *= math.comb(c, t)
+                    part_i += [v] * t
+                    part_j += [v] * (c - t)
+                part_i, part_j = tuple(part_i), tuple(part_j)
+            # 2^(c(g) - c(g1) - c(g2)) is 2 when both genera are positive
+            w = 2 * weight if g1 and g2 else weight
+            if take != comp or g1 != g2:
+                w *= 2
+            bilinear.append((w, (g1, _sort_desc(part_i + (r,))),
+                             (g2, _sort_desc(part_j + (k - 1 - r,)))))
+    return 2, linear, bilinear
 
-    val = (s1 + s23 / 2) / dfact(2 * k + 3)
-    _memo[key] = val
-    return val
+
+def _solve(key: tuple) -> int:
+    """X of a dimension-correct key, filling _memo from an explicit stack:
+    a key is planned on its first visit and summed once its children
+    are in the memo."""
+    memo = _memo
+    plans = {}
+    stack = [key]
+    while stack:
+        top = stack[-1]
+        if top in memo:
+            stack.pop()
+            continue
+        plan = plans.get(top)
+        if plan is None:
+            if top in _BASE:
+                memo[top] = _BASE[top]
+                stack.pop()
+                continue
+            plan = plans[top] = _plan(*top)
+            waiting = [a for _, a in plan[1] if a not in memo]
+            waiting += [c for _, a, b in plan[2] for c in (a, b)
+                        if c not in memo]
+            if waiting:
+                stack += waiting
+                continue
+        den, linear, bilinear = plan
+        total = 0
+        for w, a in linear:
+            total += w * memo[a]
+        for w, a, b in bilinear:
+            total += w * memo[a] * memo[b]
+        if den == 2:
+            total, odd = divmod(total, 2)
+            if odd:
+                raise ArithmeticError(
+                    f"DVV halving leaves a remainder at g={top[0]} {top[1]}")
+        memo[top] = total
+        del plans[top]
+        stack.pop()
+    return memo[key]
 
 
 def _sort_desc(t) -> tuple:
@@ -202,9 +273,58 @@ def intersection_number(key, indices=None) -> Rational:
         key = TauKey.make(key, indices)
     if sum(key.indices) != key.dimension:
         return _R0
-    if sys.getrecursionlimit() < 50_000:
-        sys.setrecursionlimit(50_000)
-    return _compute(key.genus, key.indices)
+    k = (key.genus, key.indices)
+    val = _values.get(k)
+    if val is None:
+        x = _memo.get(k)
+        if x is None:
+            x = _solve(k)
+        val = _values[k] = Rational(x, _scale(*k))
+    return val
+
+
+def save_tau(path) -> int:
+    """Write the memo as a tau segment; returns the row count."""
+    rows = [[g, list(d), rat_to_str(Rational(x, _scale(g, d)))]
+            for (g, d), x in sorted(_memo.items())]
+    twpcache.write_twp(path, "tau", [len(rows)], rows)
+    return len(rows)
+
+
+def load_tau(path) -> int:
+    """Merge a tau segment into the memo; returns its row count.
+
+    Raises CacheError, and merges nothing, when a row is malformed,
+    unstable or not dimension-correct, when its value times
+    2^c(g) prod (2 d_i + 1)!! is not an integer, or when it disagrees
+    with a value already in the memo.
+    """
+    got = twpcache.read_twp(path, "tau")
+    if got is None:
+        return 0
+    _meta, rows = got
+    loaded = {}
+    for row in rows:
+        try:
+            g, idx, s = row
+            if type(g) is not int or any(type(i) is not int for i in idx):
+                raise ValueError("genus and indices must be integers")
+            key = TauKey.make(g, idx)
+            q = rat_from_str(s)
+        except (TypeError, ValueError, ZeroDivisionError,
+                DomainError) as exc:
+            raise CacheError(f"{path}: bad tau row {row!r} ({exc})") from exc
+        k = (key.genus, key.indices)
+        if sum(key.indices) != key.dimension:
+            raise CacheError(f"{path}: tau row {row!r} is not "
+                             f"dimension-correct")
+        x = q * _scale(*k)
+        if x.denominator != 1 or _memo.get(k, x) != x:
+            raise CacheError(f"{path}: tau row {row!r} is not a "
+                             f"correlator value")
+        loaded[k] = int(x)
+    _memo.update(loaded)
+    return len(rows)
 
 
 def tau2_correlator(g: int, extra: Sequence[int] = ()) -> Rational:

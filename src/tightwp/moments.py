@@ -10,8 +10,10 @@ iteration that keeps a bracket around the root and bisects when a Newton
 step would leave it; the layer's derivatives are all in closed form.
 
 Exact side: the formal mu-series of R and of every M_k, each a MuSeries
-of single-power-of-pi^2 coefficients, plus the extraction of classical
-Weil-Petersson volumes V_{g,n+p}(0) from the cusp generating function.
+of single-power-of-pi^2 coefficients (int numerators over one common
+denominator, so products and sums run on ints), plus the extraction of
+classical Weil-Petersson volumes V_{g,n+p}(0) from the cusp generating
+function.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ threads:
                       lowest terms with positive denominator.
 * ``PiPoly``       -- polynomials in pi^2 with Rational coefficients.
 * ``MuSeries``     -- truncated power series in mu whose coefficients are
-                      single powers of pi^2: one Rational per power
-                      of mu plus a pi^2-degree shift.
+                      single powers of pi^2: one int numerator per
+                      power of mu over one common denominator, plus a
+                      pi^2-degree shift; the arithmetic runs on ints.
 * ``TightPoly``    -- sparse multivariate polynomials in the squared
                       boundary lengths ell_i = L_i^2 and the moment
                       variables m_1..m_D, with Rational coefficients.
@@ -34,7 +35,7 @@ from tightwp.errors import CancellationWarning, DomainError, ShapeError
 
 try:
     from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a hard dependency
+except ImportError:  # gmpy2 is optional (the "fast" extra)
     from fractions import Fraction as Rational
 
 DEFAULT_PREC = 113
@@ -258,16 +259,20 @@ _PP0 = PiPoly.zero()
 
 
 class MuSeries:
-    """Truncated power series in mu with [mu^j] = c_j pi^(2 (j + shift)).
+    """Truncated power series in mu, [mu^j] = (n_j / den) pi^(2 (j + shift)).
 
     Every series the package builds is graded so (R has shift -1, M_k
-    shift k, T_{g,n}(0, mu) shift 3g-3+n): one Rational c_j per power of
-    mu plus the shift, 0 for a zero series.  The constructor takes PiPoly
-    or Rational coefficients and raises DomainError on a list that is not
-    graded.  Binary operations first truncate to the smaller order.
+    shift k, T_{g,n}(0, mu) shift 3g-3+n).  A series is stored as a tuple
+    of int numerators n_j over one positive int denominator den, in lowest
+    terms (den and the n_j have gcd 1), plus the shift; the zero series is
+    (0, ...), 1, 0, so equal series have equal fields.  Arithmetic runs on
+    the ints and reduces once per result; ``coeff`` turns a numerator into
+    a PiPoly.  The constructor takes PiPoly or Rational coefficients and
+    raises DomainError on a list that is not graded.  Binary operations
+    first truncate to the smaller order.
     """
 
-    __slots__ = ("_c", "_s")
+    __slots__ = ("_n", "_d", "_s")
 
     def __init__(self, coeffs: Sequence, order: int | None = None):
         rats, shifts = [], set()
@@ -277,27 +282,35 @@ class MuSeries:
             rats.append(next(iter(terms.values()), _R0))
         if len(shifts) > 1:
             raise DomainError("mu-series coefficients are not graded")
-        self._set(rats, shifts.pop() if shifts else 0)
+        den = math.lcm(*(int(q.denominator) for q in rats))
+        self._set([int(q.numerator) * (den // int(q.denominator))
+                   for q in rats], den, shifts.pop() if shifts else 0)
 
-    def _set(self, rats: list, shift: int):
-        self._c = tuple(rats) or (_R0,)
-        self._s = shift if any(self._c) else 0
+    def _set(self, nums: list, den: int, shift: int):
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        self._n = tuple(nums) or (0,)
+        self._d = den
+        self._s = shift if any(self._n) else 0
 
     @classmethod
-    def _raw(cls, rats: list, shift: int) -> "MuSeries":
+    def _raw(cls, nums: list, den: int, shift: int) -> "MuSeries":
+        """The series nums/den (den > 0) with the given shift, reduced."""
         s = object.__new__(cls)
-        s._set(rats, shift)
+        s._set(nums, den, shift)
         return s
 
     @property
     def order(self) -> int:
-        return len(self._c) - 1
+        return len(self._n) - 1
 
     def coeff(self, j: int) -> PiPoly:
         if j < 0 or j > self.order:
             raise DomainError(f"coefficient index {j} out of range")
-        q = self._c[j]
-        return PiPoly.term(q, j + self._s) if q else _PP0
+        x = self._n[j]
+        return PiPoly.term(Rational(x, self._d), j + self._s) if x else _PP0
 
     def coeffs(self):
         return tuple(self.coeff(j) for j in range(self.order + 1))
@@ -311,10 +324,10 @@ class MuSeries:
         """The series mu itself."""
         if order < 1:
             raise DomainError("identity needs order >= 1")
-        return cls([_R0, _R1], order=order)
+        return cls([0, 1], order=order)
 
     def truncate(self, order: int) -> "MuSeries":
-        return MuSeries._raw(_fit(list(self._c), order), self._s)
+        return MuSeries._raw(_fit(list(self._n), order), self._d, self._s)
 
     def _common(self, other: "MuSeries") -> int:
         return min(self.order, other.order)
@@ -323,31 +336,38 @@ class MuSeries:
         if not isinstance(other, MuSeries):
             return NotImplemented
         p = self._common(other)
-        a, b = self._c[:p + 1], other._c[:p + 1]
+        a, b = self._n[:p + 1], other._n[:p + 1]
         if any(a) and any(b) and self._s != other._s:
             raise DomainError("cannot add mu-series of different shifts")
-        return MuSeries._raw([x + y for x, y in zip(a, b)],
-                             self._s if any(a) else other._s)
+        g = math.gcd(self._d, other._d)
+        fa, fb = other._d // g, self._d // g
+        return MuSeries._raw([x * fa + y * fb for x, y in zip(a, b)],
+                             self._d * fa, self._s if any(a) else other._s)
 
     def __mul__(self, other):
         if isinstance(other, PiPoly):
             if len(other._c) > 1:
                 raise DomainError("a mu-series scales by one power of pi^2")
             e, q = next(iter(other._c.items()), (0, _R0))
-            return MuSeries._raw([x * q for x in self._c], self._s + e)
+            return self._scaled(q, self._s + e)
         if isinstance(other, (int, Rational)):
-            return MuSeries._raw([x * other for x in self._c], self._s)
+            return self._scaled(other, self._s)
         if not isinstance(other, MuSeries):
             return NotImplemented
-        return MuSeries._raw(_conv(self._c, other._c, self._common(other)),
-                             self._s + other._s)
+        return MuSeries._raw(_conv(self._n, other._n, self._common(other)),
+                             self._d * other._d, self._s + other._s)
 
     __rmul__ = __mul__
+
+    def _scaled(self, q, shift: int) -> "MuSeries":
+        num = int(q.numerator)
+        return MuSeries._raw([x * num for x in self._n],
+                             self._d * int(q.denominator), shift)
 
     def __pow__(self, k: int):
         if k < 0:
             raise DomainError("negative series power")
-        out = MuSeries([_R1], order=self.order)
+        out = MuSeries([1], order=self.order)
         for _ in range(k):
             out = out * self
         return out
@@ -355,7 +375,7 @@ class MuSeries:
     def __eq__(self, other):
         if not isinstance(other, MuSeries):
             return NotImplemented
-        return self._c == other._c and self._s == other._s
+        return (self._n, self._d, self._s) == (other._n, other._d, other._s)
 
     __hash__ = None
 
@@ -365,23 +385,27 @@ class MuSeries:
         shift of self."""
         p = self._common(inner)
         inner = inner.truncate(p)
-        if inner._c[0]:
+        if inner._n[0]:
             raise DomainError("composition requires zero inner constant term")
-        if any(inner._c) and inner._s != -1:
+        if any(inner._n) and inner._s != -1:
             raise DomainError("composition requires an inner shift of -1")
-        out = [self._c[p]] + [_R0] * p
+        # Horner: after each step the partial sum is out / (den * den_pow)
+        a, den_pow = self._n, 1
+        out = [a[p]] + [0] * p
         for j in range(p - 1, -1, -1):
-            out = _conv(out, inner._c, p)
-            out[0] = self._c[j]
-        return MuSeries._raw(out, self._s)
+            out = _conv(out, inner._n, p)
+            den_pow *= inner._d
+            out[0] += a[j] * den_pow
+        return MuSeries._raw(out, self._d * den_pow, self._s)
 
     def inverse(self) -> "MuSeries":
         """Multiplicative inverse; the constant term must be a nonzero
         rational (pi^2-degree zero)."""
-        if not self._c[0] or self._s != 0:
+        if not self._n[0] or self._s != 0:
             raise DomainError("series inverse needs a nonzero rational "
                               "constant term")
-        return MuSeries._raw(_inv(self._c), 0)
+        nums, den = _inv(self._n)
+        return MuSeries._raw([x * self._d for x in nums], den, 0)
 
     def eval(self, mu_value, prec: int = DEFAULT_PREC):
         """Horner evaluation at a numeric mu."""
@@ -402,31 +426,41 @@ def _fit(c: list, order: int | None) -> list:
         return c
     if order < 0:
         raise DomainError("negative series order")
-    return c[:order + 1] + [_R0] * (order + 1 - len(c))
+    return c[:order + 1] + [0] * (order + 1 - len(c))
 
 
-def _conv(a: Sequence, b: Sequence, p: int) -> list:
-    """Product of two rational coefficient lists, truncated at mu^p."""
-    out = [_R0] * (p + 1)
+def _conv(a: Sequence[int], b: Sequence[int], p: int) -> list:
+    """Product of two int coefficient lists, truncated at mu^p."""
+    out = [0] * (p + 1)
     for i in range(p + 1):
-        if a[i]:
+        x = a[i]
+        if x:
             for j in range(p + 1 - i):
                 if b[j]:
-                    out[i + j] += a[i] * b[j]
+                    out[i + j] += x * b[j]
     return out
 
 
-def _inv(c: Sequence) -> list:
-    """Reciprocal of a rational coefficient list with c[0] != 0."""
-    inv0 = _R1 / c[0]
-    out = [inv0] + [_R0] * (len(c) - 1)
-    for s in range(1, len(c)):
-        acc = _R0
+def _inv(c: Sequence[int]) -> tuple:
+    """Reciprocal of an int coefficient list with c[0] != 0, as
+    (numerators, positive denominator c[0]^len(c)), not reduced.
+
+    With w = K / c for K = c[0]^len(c), w[0] = K / c[0] and the recurrence
+    c[0] w[s] = -sum_{t>=1} c[t] w[s-t] divides exactly, because [mu^s]
+    of 1/c has a denominator dividing c[0]^(s+1).
+    """
+    c0, p = c[0], len(c) - 1
+    w = [c0 ** p] + [0] * p
+    for s in range(1, p + 1):
+        acc = 0
         for t in range(1, s + 1):
             if c[t]:
-                acc += c[t] * out[s - t]
-        out[s] = -(inv0 * acc)
-    return out
+                acc += c[t] * w[s - t]
+        w[s] = -acc // c0
+    den = c0 ** (p + 1)
+    if den < 0:
+        return [-x for x in w], -den
+    return w, den
 
 
 def z_r_coefficient(m: int) -> PiPoly:
@@ -440,19 +474,27 @@ def series_invert_z(order: int) -> MuSeries:
 
     Formal inversion of mu = sum_{m>=0} (-2 pi^2)^m r^(m+1) / (m!(m+1)!).
     The series is pi^2-graded ([mu^j] R is a rational times pi^(2j-2)), so
-    the inversion runs on flat rational coefficients via Lagrange
-    inversion: [mu^j] R = (1/j) [r^(j-1)] (r / f(r))^j.
+    the inversion runs on int numerators via Lagrange inversion:
+    [mu^j] R = (1/j) [r^(j-1)] (r / f(r))^j.
     """
     if order < 1:
         raise DomainError("series_invert_z needs order >= 1")
-    # h = r/f(r), the reciprocal of f(r)/r, with pi^2 scaled out
-    h = _inv([z_r_coefficient(m).coeff(m) for m in range(order)])
-    a = [_R0, h[0]]
+    # h = r/f(r) with pi^2 scaled out, the reciprocal of f(r)/r, whose
+    # numerators over F = (order-1)! order! are (-2)^m F / (m! (m+1)!)
+    fact = [math.factorial(m) for m in range(order + 1)]
+    big_f = fact[order - 1] * fact[order]
+    nums, den = _inv([(-2) ** m * (big_f // (fact[m] * fact[m + 1]))
+                      for m in range(order)])
+    h = MuSeries._raw([x * big_f for x in nums], den, 0)
+    # [r^(j-1)] h^j / j as (numerator, denominator), for j = 1..order
     h_pow = h
+    coeffs = [(h._n[0], h._d)]
     for j in range(2, order + 1):
-        h_pow = _conv(h_pow, h, order - 1)
-        a.append(h_pow[j - 1] / j)
-    return MuSeries._raw(a, -1)
+        h_pow = MuSeries._raw(_conv(h_pow._n, h._n, order - 1),
+                              h_pow._d * h._d, 0)
+        coeffs.append((h_pow._n[j - 1], j * h_pow._d))
+    den = math.lcm(*(d for _, d in coeffs))
+    return MuSeries._raw([0] + [x * (den // d) for x, d in coeffs], den, -1)
 
 
 class TightPoly:

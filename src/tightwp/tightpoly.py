@@ -26,9 +26,9 @@ from mpmath import mp
 
 from tightwp import cache as twpcache
 from tightwp.errors import BudgetError, CacheError, DomainError
-from tightwp.intersection import intersection_number, tau2_correlator
-from tightwp.ring import (Rational, TightPoly, rat_from_str, rat_to_str,
-                          to_mpf)
+from tightwp.intersection import (intersection_number, load_tau, save_tau,
+                                   tau2_correlator)
+from tightwp.ring import Rational, TightPoly, to_mpf
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -368,22 +368,8 @@ class PolyCache:
 
     def save_tau(self) -> int:
         """Persist the intersection-number memo; returns entry count."""
-        from tightwp import intersection
-
-        rows = [[g, list(idx), rat_to_str(v)]
-                for (g, idx), v in sorted(intersection._memo.items())]
-        twpcache.write_twp(self.tau_path(), "tau", [len(rows)], rows)
-        return len(rows)
+        return save_tau(self.tau_path())
 
     def load_tau(self) -> int:
         """Merge a persisted tau segment into the memo; returns count."""
-        from tightwp import intersection
-
-        got = twpcache.read_twp(self.tau_path(), "tau")
-        if got is None:
-            return 0
-        _meta, rows = got
-        for g, idx, s in rows:
-            intersection._memo[(int(g), tuple(int(i) for i in idx))] = \
-                rat_from_str(s)
-        return len(rows)
+        return load_tau(self.tau_path())

@@ -217,3 +217,14 @@ class TestCacheBehaviour:
                            "-g", "1", "-n", "2")
         assert code == 4
         assert "cache" in err
+
+    def test_wrong_tau_value_exits_four(self, capsys, tmp_path):
+        from tightwp import cache
+
+        # checksum-valid, but <tau_1>_1 is 1/24
+        cache.write_twp(tmp_path / "c" / "tau.twp", "tau", [1],
+                        [[1, [1], "1/48"]])
+        code, _, err = run(capsys, "--cache-dir", str(tmp_path / "c"), "tau",
+                           "--genus", "1", "--indices", "1")
+        assert code == 4
+        assert "cache" in err

@@ -3,11 +3,14 @@ asymptotic-ratio and comparison-bound diagnostics."""
 
 import itertools
 import math
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tightwp import verify
 from tightwp.errors import DomainError, UnstableKeyError
 from tightwp.intersection import (TauKey, check_comparison_bound, dfact,
                                   dilaton_identity_holds, intersection_number,
@@ -43,6 +46,93 @@ KNOWN = [
 @pytest.mark.parametrize("g,idx,value", KNOWN)
 def test_known_values(g, idx, value):
     assert intersection_number(g, idx) == Rational(value)
+
+
+def _oracle(g, d, memo):
+    """<tau_d>_g from the DVV recursion on Fractions, recursive, as the
+    package computed it before the scaled-integer worker; d is sorted
+    descending and dimension-correct."""
+    key = (g, d)
+    if key in memo:
+        return memo[key]
+    if key == (0, (0, 0, 0)):
+        return Fraction(1)
+    if key == (1, (1,)):
+        return Fraction(1, 24)
+    rest = d[:-1] if d[-1] == 0 else d[1:]
+    mults = {}
+    for v in rest:
+        mults[v] = mults.get(v, 0) + 1
+
+    def child(h, t):
+        return _oracle(h, tuple(sorted(t, reverse=True)), memo)
+
+    def without(t, v):
+        out = list(t)
+        out.remove(v)
+        return tuple(out)
+
+    if d[-1] == 0:
+        # string equation
+        val = sum((mv * child(g, without(rest, v) + (v - 1,))
+                   for v, mv in mults.items() if v), Fraction(0))
+    elif d[0] == 1:
+        # dilaton equation
+        val = (2 * g - 2 + len(rest)) * child(g, rest)
+    else:
+        k = d[0] - 1
+        s1 = sum((Fraction(mv * dfact(2 * (k + v) + 1), dfact(2 * v - 1))
+                  * child(g, without(rest, v) + (k + v,))
+                  for v, mv in mults.items()), Fraction(0))
+        s23 = Fraction(0)
+        values = sorted(mults)
+        counts = [mults[v] for v in values]
+        for r in range(k):
+            s = k - 1 - r
+            w_rs = dfact(2 * r + 1) * dfact(2 * s + 1)
+            if g >= 1:
+                s23 += w_rs * child(g - 1, rest + (r, s))
+            for take in itertools.product(*(range(c + 1) for c in counts)):
+                size_i = sum(take)
+                num = r + sum(v * t for v, t in zip(values, take)) + 2 - size_i
+                g1, g2 = num // 3, g - num // 3
+                if num % 3 or g1 < 0 or g2 < 0 or 2 * g1 - 1 + size_i <= 0 \
+                        or 2 * g2 - 1 + len(rest) - size_i <= 0:
+                    continue
+                weight = math.prod(math.comb(c, t)
+                                   for c, t in zip(counts, take))
+                part_i = [v for v, t in zip(values, take) for _ in range(t)]
+                part_j = [v for v, c, t in zip(values, counts, take)
+                          for _ in range(c - t)]
+                s23 += (w_rs * weight * child(g1, tuple(part_i) + (r,))
+                        * child(g2, tuple(part_j) + (s,)))
+        val = (s1 + s23 / 2) / dfact(2 * k + 3)
+    memo[key] = val
+    return val
+
+
+def test_matches_fraction_oracle():
+    memo = {}
+    keys = list(verify._tau_keys(10))
+    keys += [(g, (2,) * (3 * g - 3)) for g in range(2, 8)]
+    for g, idx in keys:
+        assert intersection_number(g, idx) == _oracle(g, idx, memo), (g, idx)
+
+
+def test_values_are_rationals_on_miss_and_hit():
+    for _ in range(2):
+        assert type(intersection_number(4, (5, 4, 3, 1))) is Rational
+
+
+def test_deep_key_needs_no_recursion_limit():
+    # the string chain of this key is 1497 keys deep
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        assert intersection_number(0, (1497,) + (0,) * 1499) == 1
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
 
 
 def test_dfact():

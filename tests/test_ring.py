@@ -117,6 +117,27 @@ class TestMuSeries:
         with pytest.raises(DomainError, match="not graded"):
             MuSeries([PiPoly({0: 1, 1: 1})])
 
+    def test_equal_series_compare_equal(self):
+        # coefficients are kept in lowest terms, so equality is structural
+        assert MuSeries([Rational(2, 4)]) == MuSeries([Rational(1, 2)])
+        assert _graded([Rational(1, 2), Rational(1, 3)], 0).truncate(0) == \
+            MuSeries([Rational(1, 2)])
+        half = _graded([Rational(1, 2), Rational(1, 6)], 0)
+        assert half + half == _graded([1, Rational(1, 3)], 0)
+        assert half * 6 == _graded([3, 1], 0)
+
+    def test_inverse_matches_fraction_reference(self):
+        cs = [Rational(3, 2), Rational(-1, 3), Rational(5, 7), 0,
+              Rational(-11, 4), Rational(2, 9)]
+        want = [1 / cs[0]]
+        for s in range(1, len(cs)):
+            want.append(-sum((cs[t] * want[s - t] for t in range(1, s + 1)),
+                             Rational(0)) / cs[0])
+        for sign in (1, -1):
+            s = _graded([sign * c for c in cs], 0)
+            assert s.inverse() == _graded([sign * w for w in want], 0)
+            assert s * s.inverse() == MuSeries([1], order=s.order)
+
     def test_scaling_by_a_power_of_pi2_shifts_the_degree(self):
         s = _graded([1, Rational(-1, 3)], 0) * PiPoly.term(2, 3)
         assert s == _graded([2, Rational(-2, 3)], 3)
@@ -146,6 +167,9 @@ class TestSeriesInvertZ:
             r_pow = r_pow * r
             z = z + r_pow * z_r_coefficient(m)
         assert z == MuSeries.identity(order)
+
+    def test_lower_order_is_a_truncation(self):
+        assert series_invert_z(50).truncate(47) == series_invert_z(47)
 
     def test_order_must_be_positive(self):
         with pytest.raises(DomainError):

@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
+from tightwp import cache as twpcache
 from tightwp import moments, tightpoly
 from tightwp.errors import BudgetError, CacheError, DomainError
 from tightwp.intersection import intersection_number
@@ -234,6 +235,22 @@ class TestStore:
         n = poly_cache.save_tau()
         assert n > 0
         assert poly_cache.load_tau() == n
+
+    @pytest.mark.parametrize("row", [
+        [1, [1], "1/48"],  # 1/48 * 2^3 * 3!! is not an integer
+        [2, [4], "1/1"],   # disagrees with <tau_4>_2 = 1/1152
+        [0, [0, 0], "1/1"],
+        [2, [1], "1/1"],
+        [1, [1], "one"],
+    ], ids=["not-scaled-integer", "conflict", "unstable", "dimension",
+            "malformed"])
+    def test_bad_tau_row_is_cache_error(self, poly_cache, row):
+        intersection_number(2, (4,))
+        twpcache.write_twp(poly_cache.tau_path(), "tau", [1], [row])
+        with pytest.raises(CacheError):
+            poly_cache.load_tau()
+        assert intersection_number(1, (1,)) == Rational(1, 24)
+        assert intersection_number(2, (4,)) == Rational(1, 1152)
 
     def test_build_consults_disk_cache(self, poly_cache, monkeypatch):
         cell = tightpoly.p_gn(1, 3)
