@@ -1,6 +1,6 @@
 """Tight Weil-Petersson volume machinery.
 
-Exact intersection numbers, the tight-volume polynomial recursion,
+Exact intersection numbers, the closed-form tight-volume polynomials,
 Bessel-moment numerics, Boltzmann cusp statistics and the tight
 length-spectrum limit laws, with a CLI front door (``tightwp``).
 """

@@ -26,7 +26,7 @@ class BudgetError(TwpError):
 
     def __init__(self, g: int, n: int, count: int, budget: int):
         super().__init__(
-            f"cell ({g},{n}) needs about {count} monomials, "
+            f"cell ({g},{n}) needs {count} monomials, "
             f"budget is {budget}"
         )
         self.g = g

@@ -45,13 +45,6 @@ _R0 = Rational(0)
 _R1 = Rational(1)
 
 
-def rational(num, den=1) -> Rational:
-    """Build a Rational; accepts ints or 'num/den' strings."""
-    if isinstance(num, str):
-        return Rational(num)
-    return Rational(num, den)
-
-
 def rat_to_str(q) -> str:
     """Canonical 'num/den' form, denominator always explicit."""
     return f"{q.numerator}/{q.denominator}"
@@ -679,23 +672,6 @@ class TightPoly:
             e = k[pos]
             out[k[:pos] + (e + 1,) + k[pos + 1:]] = c * Rational(1, 2 * e + 2)
         return TightPoly._raw(self.n_ell, self.n_m, out)
-
-    def permute_ell(self, perm: Sequence[int]) -> "TightPoly":
-        """Relabel boundaries: new ell_i = old ell_{perm[i-1]} (1-based)."""
-        if sorted(perm) != list(range(1, self.n_ell + 1)):
-            raise ShapeError(f"{perm} is not a permutation of "
-                             f"1..{self.n_ell}")
-        full = tuple(p - 1 for p in perm) + tuple(
-            range(self.n_ell, self.n_ell + self.n_m))
-        out = {}
-        for k, c in self.terms.items():
-            kk = tuple(k[p] for p in full)
-            if kk in out:
-                out[kk] += c
-            else:
-                out[kk] = c
-        return TightPoly._raw(self.n_ell, self.n_m,
-                              {k: c for k, c in out.items() if c})
 
     def embed(self, n_ell: int, n_m: int,
               ell_positions: Sequence[int]) -> "TightPoly":

@@ -1,12 +1,14 @@
 """The tight-volume polynomials P_{g,n} and their diagnostics.
 
-``p_gn`` builds P_{g,n}(L, m) bottom-up: the base chain is P_{0,3} = 1,
-P_{1,1} = (1/24)(-m_1 + ell_1/2) and the intersection-number sum P_{g,0}
-for g >= 2; each n-step applies the three-part recursion (derivative
-terms, the (2g-3+n)(-m_1 + ell_1/2) term, and the boundary integrals).
-The raw output of a step is provably symmetric in the boundaries, so the
-builder asserts monomial-wise graded homogeneity and leaves the full
-symmetry check to ``validate_cell``.
+``p_gn`` builds every admissible P_{g,n}(L, m) from one closed form
+(Budd and Zonneveld, 2023), with ell_i = L_i^2 and D = 3g - 3 + n:
+
+    P_{g,n} = sum <prod_i tau_{d_i} prod_k tau_{k+1}^{a_k}>_g
+              prod_i ell_i^{d_i} / (2^{d_i} d_i!) prod_k (-m_k)^{a_k} / a_k!
+
+over d in N^n and a >= 0 with sum d_i + sum k a_k = D.  The correlator
+sees only the multiset of the d_i, so one is computed per sorted
+ell-block.  The paper's n-recursion is a check in :mod:`tightwp.verify`.
 
 The module also exposes the rescaled-derivative diagnostics used to
 witness the large-genus concentration results: phi (the closed-form
@@ -17,6 +19,7 @@ in the sinh-normalized boundary variables).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -32,7 +35,6 @@ from tightwp.ring import Rational, TightPoly, to_mpf
 
 DEFAULT_BUDGET = 5_000_000
 
-_R1 = Rational(1)
 
 
 def admissible(g: int, n: int) -> bool:
@@ -87,119 +89,87 @@ def clear_memory_cache():
     _cells.clear()
 
 
-def p_g0(g: int, budget: int = DEFAULT_BUDGET) -> PolyCell:
-    """P_{g,0} for g >= 2 from the intersection-number expansion.
-
-    Sum over d_2, d_3, ... >= 0 with sum (k-1) d_k = 3g-3 of
-    <tau_2^{d_2} tau_3^{d_3} ...>_g  prod (-m_{k-1})^{d_k} / d_k!.
-    """
-    if g < 2:
-        raise DomainError(f"p_g0 needs g >= 2, got {g}")
-    d = 3 * g - 3
-    terms = {}
-    for part in partitions(d):
-        mult = {}
-        for j in part:
-            mult[j] = mult.get(j, 0) + 1
-        # part j (exponent of m_j) corresponds to a tau_{j+1} insertion
-        taus = []
-        for j, dj in mult.items():
-            taus += [j + 1] * dj
-        corr = intersection_number(g, taus)
-        if not corr:
-            continue
-        coeff = corr
-        key = [0] * d
-        for j, dj in mult.items():
-            key[j - 1] = dj
-            sign = -1 if dj % 2 else 1
-            fact = 1
-            for t in range(2, dj + 1):
-                fact *= t
-            coeff = coeff * Rational(sign, fact)
-        terms[tuple(key)] = coeff
-    poly = TightPoly(0, d, terms)
-    if len(poly) > budget:
-        raise BudgetError(g, 0, len(poly), budget)
-    return PolyCell(genus=g, boundaries=0, poly=poly)
-
-
-def _assert_graded(cell: PolyCell):
-    grades = cell.poly.grades()
-    if grades and grades != {cell.d}:
-        raise AssertionError(
-            f"P_{{{cell.genus},{cell.boundaries}}} is not graded of degree "
-            f"{cell.d}: found grades {sorted(grades)}")
-
-
-def _recursion_step(g: int, n: int, prev: PolyCell,
-                    budget: int) -> PolyCell:
-    """One application of the n-recursion: P_{g,n} from P_{g,n-1}."""
+def term_count(g: int, n: int) -> int:
+    """Number of monomials of graded degree D = 3g-3+n in ell_1..ell_n,
+    m_1..m_D, which is sum_j C(j+n-1, n-1) p(D-j): the x^D coefficient
+    of prod_i 1/(1-x) prod_k 1/(1-x^k), one factor per variable."""
     d = 3 * g - 3 + n
-    # previous cell lifted: its boundaries become positions 2..n
-    prev_l = prev.poly.embed(n, d, tuple(range(2, n + 1)))
-    ell1 = TightPoly.ell_var(n, d, 1)
-    m1 = TightPoly.m_var(n, d, 1)
+    out = [1] + [0] * d
+    for weight in [1] * n + list(range(1, d + 1)):
+        for k in range(weight, d + 1):
+            out[k] += out[k - weight]
+    return out[d]
 
-    out = TightPoly.zero(n, d)
-    # derivative terms: sum over p of
-    #   (m_{p+1} - ell_1^{p+1}/(2^{p+1}(p+1)!) - m_1 m_p + ell_1 m_p / 2)
-    #   * dP_{g,n-1}/dm_p
-    fact = 1
-    for p in range(1, d):
-        fact *= (p + 1)  # running (p+1)!
-        dprev = prev_l.dm(p)
-        if dprev.is_zero:
-            continue
-        m_p = TightPoly.m_var(n, d, p)
-        m_p1 = TightPoly.m_var(n, d, p + 1)
-        ell_pow = TightPoly._raw(
-            n, d, {(p + 1,) + (0,) * (n - 1 + d):
-                   Rational(-1, 2 ** (p + 1) * fact)})
-        factor = m_p1 + ell_pow - m1 * m_p + ell1 * m_p * Rational(1, 2)
-        out = out + factor * dprev
-    # volume term
-    out = out + (2 * g - 3 + n) * ((-m1) + ell1 * Rational(1, 2)) * prev_l
-    # boundary integrals: previous first boundary becomes x integrated to L_i
-    for i in range(2, n + 1):
-        rest = [j for j in range(2, n + 1) if j != i]
-        placed = prev.poly.embed(n, d, tuple([i] + rest))
-        out = out + placed.integrate_ell(i)
-    if len(out) > budget:
-        raise BudgetError(g, n, len(out), budget)
-    return PolyCell(genus=g, boundaries=n, poly=out)
+
+def _compositions(total: int, parts: int):
+    """Tuples of `parts` ints >= 0 summing to `total`, in lex order."""
+    if parts <= 1:
+        if parts or not total:  # no parts can only sum to 0
+            yield (total,) * parts
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _closed_form(g: int, n: int, count: int) -> TightPoly:
+    """P_{g,n} as the correlator sum of the module docstring, one
+    correlator per (m-key, sorted ell-block), terms in canonical order."""
+    d = 3 * g - 3 + n
+    ell_blocks = [[(c, tuple(sorted(c, reverse=True)))
+                   for c in _compositions(j, n)] for j in range(d + 1)]
+    m_blocks = []
+    for weight in range(d + 1):
+        for part in partitions(weight):
+            key = [0] * d
+            for k in part:
+                key[k - 1] += 1
+            m_blocks.append((tuple(key), weight, part))
+    m_blocks.sort()
+    terms = {}
+    for m_key, weight, part in m_blocks:
+        m_taus = tuple(k + 1 for k in part)
+        m_den = math.prod(math.factorial(a) for a in m_key)
+        sign = -1 if len(part) % 2 else 1
+        coeffs = {}
+        for ell, taus in ell_blocks[d - weight]:
+            q = coeffs.get(taus)
+            if q is None:
+                den = m_den << (d - weight)
+                for t in taus:
+                    den *= math.factorial(t)
+                q = coeffs[taus] = intersection_number(g, taus + m_taus) \
+                    * Rational(sign, den)
+            terms[ell + m_key] = q
+    # psi-class correlators of stable, dimension-correct keys are positive,
+    # so every key gets a nonzero coefficient and the cell is dense
+    if len(terms) != count:
+        raise AssertionError(f"P_{{{g},{n}}} has {len(terms)} terms, "
+                             f"expected {count}")
+    return TightPoly._raw(n, d, terms)
 
 
 def p_gn(g: int, n: int, cache: "PolyCache | None" = None,
          budget: int = DEFAULT_BUDGET) -> PolyCell:
-    """Build (or fetch) P_{g,n}; inadmissible (g,n) raises DomainError."""
+    """Build (or fetch) P_{g,n}.
+
+    Inadmissible (g,n) raises DomainError; a cell of more than `budget`
+    monomials raises BudgetError before the memo, the disk store or the
+    correlators are consulted.
+    """
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
+    count = term_count(g, n)
+    if count > budget:
+        raise BudgetError(g, n, count, budget)
     cell = _cells.get((g, n))
-    if cell is not None:
-        return cell
-    if cache is not None:
-        cell = cache.load(g, n)
-        if cell is not None:
-            _cells[(g, n)] = cell
-            return cell
-
-    if g == 0 and n == 3:
-        cell = PolyCell(0, 3, TightPoly.const(3, 0, 1))
-    elif g == 1 and n == 1:
-        m1 = TightPoly.m_var(1, 1, 1)
-        ell1 = TightPoly.ell_var(1, 1, 1)
-        cell = PolyCell(1, 1,
-                        ((-m1) + ell1 * Rational(1, 2)) * Rational(1, 24))
-    elif n == 0:
-        cell = p_g0(g, budget=budget)
-    else:
-        prev = p_gn(g, n - 1, cache=cache, budget=budget)
-        cell = _recursion_step(g, n, prev, budget)
-    _assert_graded(cell)
-    _cells[(g, n)] = cell
-    if cache is not None:
-        cache.store(cell)
+    if cell is None:
+        cell = cache.load(g, n) if cache is not None else None
+        if cell is None:
+            cell = PolyCell(g, n, _closed_form(g, n, count))
+            if cache is not None:
+                cache.store(cell)
+        _cells[(g, n)] = cell
     return cell
 
 

@@ -164,6 +164,46 @@ def criterion_series_extraction(cache=None) -> CriterionResult:
     return CriterionResult("C04 series extraction", checks)
 
 
+def recursion_step(prev: tightpoly.PolyCell) -> TightPoly:
+    """P_{g,n} from P_{g,n-1} by the tight-volume n-recursion: the
+    derivative terms, the (2g-3+n)(-m_1 + ell_1/2) volume term and the
+    boundary integrals.  An independent route to the closed form."""
+    g, n, d = prev.genus, prev.boundaries + 1, prev.d + 1
+    # previous cell lifted: its boundaries become positions 2..n
+    prev_l = prev.poly.embed(n, d, tuple(range(2, n + 1)))
+    ell1 = TightPoly.ell_var(n, d, 1)
+    m1 = TightPoly.m_var(n, d, 1)
+
+    out = TightPoly.zero(n, d)
+    # derivative terms: sum over p of
+    #   (m_{p+1} - ell_1^{p+1}/(2^{p+1}(p+1)!) - m_1 m_p + ell_1 m_p / 2)
+    #   * dP_{g,n-1}/dm_p
+    for p in range(1, d):
+        dprev = prev_l.dm(p)
+        if dprev.is_zero:
+            continue
+        m_p = TightPoly.m_var(n, d, p)
+        m_p1 = TightPoly.m_var(n, d, p + 1)
+        ell_pow = TightPoly(n, d, {(p + 1,) + (0,) * (n - 1 + d): Rational(
+            -1, 2 ** (p + 1) * math.factorial(p + 1))})
+        factor = m_p1 + ell_pow - m1 * m_p + ell1 * m_p * Rational(1, 2)
+        out = out + factor * dprev
+    # volume term
+    out = out + (2 * g - 3 + n) * ((-m1) + ell1 * Rational(1, 2)) * prev_l
+    # boundary integrals: previous first boundary becomes x integrated to L_i
+    for i in range(2, n + 1):
+        rest = [j for j in range(2, n + 1) if j != i]
+        placed = prev.poly.embed(n, d, tuple([i] + rest))
+        out = out + placed.integrate_ell(i)
+    return out
+
+
+def recursion_holds(cell: tightpoly.PolyCell, cache=None) -> bool:
+    """True iff the n-recursion applied to P_{g,n-1} gives exactly cell."""
+    prev = tightpoly.p_gn(cell.genus, cell.boundaries - 1, cache=cache)
+    return recursion_step(prev) == cell.poly
+
+
 def _tau_keys(max_dim: int):
     """Every stable (genus, indices) correlator key with n >= 1 whose
     indices sum to its dimension 3g - 3 + n <= max_dim; indices descend."""
@@ -178,7 +218,8 @@ def _tau_keys(max_dim: int):
 
 
 def criterion_property_suites(cache=None) -> CriterionResult:
-    """validate_cell sweep, string/dilaton consistency, comparison sweep."""
+    """validate_cell sweep, the n-recursion against the closed form,
+    string/dilaton consistency, comparison sweep."""
     checks = []
     bad = []
     for g in range(0, 6):
@@ -189,6 +230,14 @@ def criterion_property_suites(cache=None) -> CriterionResult:
                     bad.append((g, n))
     checks.append(Check("validate_cell for admissible g<=5, n<=5",
                         not bad, f"failures: {bad}", "all valid"))
+
+    pairs = [(g, n) for g in range(6) for n in range(1, 5 if g <= 3 else 4)
+             if tightpoly.admissible(g, n - 1)]
+    bad = [(g, n) for g, n in pairs
+           if not recursion_holds(tightpoly.p_gn(g, n, cache=cache), cache)]
+    checks.append(Check("n-recursion gives P_{g,n}, g<=3 with n<=4 and "
+                        "g<=5 with n<=3", not bad,
+                        f"{len(pairs)} cells, failures: {bad}", "exact"))
 
     # string/dilaton: exact reduction identities on every correlator key
     # that carries a tau_0 (resp. tau_1), in the stated dimension range

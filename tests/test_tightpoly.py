@@ -1,12 +1,12 @@
-"""Polynomial recursion cells, validators, concentration diagnostics and
-the persistent store."""
+"""Closed-form cells, budget refusals, the recursion check, validators,
+concentration diagnostics and the persistent store."""
 
 import mpmath
 import pytest
 from mpmath import mp
 
 from tightwp import cache as twpcache
-from tightwp import moments, tightpoly
+from tightwp import intersection, moments, tightpoly, verify
 from tightwp.errors import BudgetError, CacheError, DomainError
 from tightwp.intersection import intersection_number
 from tightwp.ring import Rational, TightPoly
@@ -28,7 +28,7 @@ def test_admissible():
 
 class TestPg0:
     def test_genus_two_structure(self):
-        cell = tightpoly.p_g0(2)
+        cell = tightpoly.p_gn(2, 0)
         assert cell.d == 3
         terms = cell.poly.terms
         # -m3 <tau_4>, +m1 m2 <tau_2 tau_3>, -(m1^3/6) <tau_2^3>
@@ -40,17 +40,49 @@ class TestPg0:
 
     def test_every_monomial_graded(self):
         for g in (2, 3, 4):
-            cell = tightpoly.p_g0(g)
+            cell = tightpoly.p_gn(g, 0)
             assert cell.poly.grades() == {3 * g - 3}
-
-    def test_g_below_two_rejected(self):
-        with pytest.raises(DomainError):
-            tightpoly.p_g0(1)
 
     def test_budget_refusal_names_cell(self):
         with pytest.raises(BudgetError) as err:
-            tightpoly.p_g0(6, budget=100)
+            tightpoly.p_gn(6, 0, budget=100)
         assert err.value.g == 6 and err.value.n == 0
+
+
+class TestBudget:
+    def test_term_count_is_exact(self):
+        for g, n in [(0, 3), (1, 1), (2, 0), (2, 2), (3, 4), (5, 3)]:
+            assert tightpoly.term_count(g, n) == len(tightpoly.p_gn(g, n).poly)
+        # sum_j C(j+n-1, n-1) p(D-j) at (g, n) = (3, 2), D = 8
+        p = [1, 1, 2, 3, 5, 7, 11, 15, 22]
+        assert tightpoly.term_count(3, 2) == sum(
+            (j + 1) * p[8 - j] for j in range(9)) == 187
+
+    def test_refusal_ignores_memo_and_store(self, poly_cache):
+        poly_cache.store(tightpoly.p_gn(2, 2))
+        with pytest.raises(BudgetError) as err:
+            tightpoly.p_gn(2, 2, budget=10)
+        assert (err.value.g, err.value.n) == (2, 2)
+        assert err.value.count == 45 and err.value.budget == 10
+        assert "about" not in str(err.value)
+        saved = dict(tightpoly._cells)
+        try:
+            tightpoly.clear_memory_cache()
+            with pytest.raises(BudgetError) as err:
+                tightpoly.p_gn(2, 2, cache=poly_cache, budget=10)
+            assert err.value.count == 45
+        finally:
+            tightpoly._cells.update(saved)
+
+    def test_refusal_does_no_work(self):
+        cells = dict(tightpoly._cells)
+        memo = intersection.cache_size()
+        with pytest.raises(BudgetError) as err:
+            tightpoly.p_gn(5, 6, budget=10_000)
+        assert (err.value.g, err.value.n) == (5, 6)
+        assert err.value.count == 718_339
+        assert tightpoly._cells == cells
+        assert intersection.cache_size() == memo
 
 
 class TestPgn:
@@ -98,6 +130,15 @@ class TestPgn:
         # the first bad monomial is reported once
         assert sum("homogeneous" in msg
                    for msg in tightpoly.validate_cell_report(bad)) == 1
+
+    def test_recursion_check_catches_one_changed_coefficient(self):
+        cell = tightpoly.p_gn(2, 2)
+        assert verify.recursion_holds(cell)
+        terms = dict(cell.poly.terms)
+        key = next(iter(terms))
+        terms[key] = terms[key] + Rational(1, 7)
+        bad = tightpoly.PolyCell(2, 2, TightPoly(2, cell.d, terms))
+        assert not verify.recursion_holds(bad)
 
     def test_asymmetric_cell_reported(self):
         poly = TightPoly(2, 0, {(1, 0): Rational(1)})
