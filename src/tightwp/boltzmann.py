@@ -19,10 +19,8 @@ from mpmath import mp
 
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
 from tightwp.moments import _newton_root, cached_frame, mu_critical
-from tightwp.ring import DEFAULT_PREC, to_mpf
+from tightwp.ring import DEFAULT_PREC
 from tightwp.tightpoly import admissible, p_gn
-
-_LOG_CANCEL_RATIO = 1e6  # flag when |sum of |terms|| / |result| exceeds this
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,8 @@ def t_volume(g: int, n: int, L: Sequence, mu,
              prec: int = DEFAULT_PREC, cache=None) -> LogValue:
     """T_{g,n}(L, mu) = M_0^-(2g-2+n) P_{g,n}(L, M) as a LogValue.
 
-    Warns (CancellationWarning) when the polynomial evaluation loses more
-    than ~1e6 ulps of relative magnitude to cancellation.
+    Warns (CancellationWarning) when ``TightPoly.eval_full`` flags the
+    polynomial evaluation as cancelled (see ``ring.CANCEL_THRESHOLD``).
     """
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
@@ -129,12 +127,14 @@ def t_volume(g: int, n: int, L: Sequence, mu,
         ells = [mpmath.mpf(x) ** 2 for x in L]
         if any(e < 0 for e in ells):
             raise DomainError("boundary lengths must be >= 0")
-        value, abs_sum, _ = cell.poly.eval_full(
+        value, abs_sum, cancelled = cell.poly.eval_full(
             ells, frame.m_ratios()[:cell.d], prec)
-        if value != 0 and abs_sum > _LOG_CANCEL_RATIO * abs(value):
+        if cancelled:
             warnings.warn(
-                f"T_({g},{n}) evaluation lost {mpmath.nstr(abs_sum / abs(value), 3)}x "
-                "to cancellation", CancellationWarning, stacklevel=2)
+                f"T_({g},{n}) evaluation kept "
+                f"{mpmath.nstr(abs(value) / abs_sum, 3)} of its term "
+                "magnitude after cancellation", CancellationWarning,
+                stacklevel=2)
         if value == 0:
             return LogValue.zero()
         sign = 1 if value > 0 else -1

@@ -341,35 +341,20 @@ def moment_series(k: int, order: int) -> MuSeries:
 
 
 def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
-    """Exact MuSeries of T_{g,n}(0, mu) = M_0^-(2g-2+n) P_{g,n}(0, M)."""
+    """Exact MuSeries of T_{g,n}(0, mu) = M_0^-(2g-2+n) P_{g,n}(0, M).
+
+    The L = 0 terms of P_{g,n} read at m_k = M_k/M_0 through
+    ``TightPoly.subst_m``.
+    """
     from tightwp import tightpoly  # local import, breaks the module cycle
 
     cell = tightpoly.p_gn(g, n, cache=cache)
-    d = cell.d
     m0inv = moment_series(0, order).inverse()
-    ratios = [None] * (d + 1)  # ratios[k] = M_k / M_0 as a series
-    pow_memo: dict = {}
-
-    def ratio_pow(k: int, e: int) -> MuSeries:
-        key = (k, e)
-        got = pow_memo.get(key)
-        if got is None:
-            if ratios[k] is None:
-                ratios[k] = moment_series(k, order) * m0inv
-            got = ratios[k] ** e if e != 1 else ratios[k]
-            pow_memo[key] = got
-        return got
-
-    total = MuSeries.zero(order)
-    n_ell = cell.poly.n_ell
-    for key, q in cell.poly.terms.items():
-        if any(key[:n_ell]):
-            continue  # only the L = 0 part contributes
-        acc = MuSeries([PiPoly.const(q)], order=order)
-        for k_idx, e in enumerate(key[n_ell:]):
-            if e:
-                acc = acc * ratio_pow(k_idx + 1, e)
-        total = total + acc
+    ratios = [moment_series(k, order) * m0inv for k in range(1, cell.d + 1)]
+    zero = (0,) * n
+    got = cell.poly.subst_m(ratios, lambda q: MuSeries([q], order=order),
+                            ell=zero)
+    total = got.get(zero, MuSeries.zero(order))
     return total * m0inv ** (2 * g - 2 + n)
 
 

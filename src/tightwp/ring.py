@@ -14,6 +14,10 @@ threads:
 * ``TightPoly``    -- sparse multivariate polynomials in the squared
                       boundary lengths ell_i = L_i^2 and the moment
                       variables m_1..m_D, with Rational coefficients.
+                      ``subst_m`` is the one routine that puts values
+                      (PiPoly, MuSeries or mpf) in for the m_k, grouped
+                      by ell-exponent; ``eval_full`` evaluates every
+                      variable numerically and tracks cancellation.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
@@ -143,14 +147,6 @@ class PiPoly:
 
     def __bool__(self) -> bool:
         return bool(self._c)
-
-    @property
-    def degree(self) -> int:
-        """Degree in pi^2; -1 for the zero polynomial."""
-        return max(self._c) if self._c else -1
-
-    def coeff(self, e: int) -> Rational:
-        return self._c.get(e, _R0)
 
     def items(self):
         return sorted(self._c.items())
@@ -582,9 +578,6 @@ class TightPoly:
     def grades(self):
         return {self.grade(k) for k in self.terms}
 
-    def coeff(self, key: tuple) -> Rational:
-        return self.terms.get(tuple(key), _R0)
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -696,7 +689,7 @@ class TightPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def _pow_tables(self, values, prec):
+    def _pow_tables(self, values):
         maxes = [0] * (self.n_ell + self.n_m)
         for k in self.terms:
             for i, e in enumerate(k):
@@ -712,9 +705,12 @@ class TightPoly:
             pows.append(tab)
         return pows
 
-    def eval_full(self, ell_values, m_values, prec: int = DEFAULT_PREC,
-                  cancel_threshold: float = CANCEL_THRESHOLD):
-        """Evaluate numerically; returns (value, abs_sum, cancelled)."""
+    def eval_full(self, ell_values, m_values, prec: int = DEFAULT_PREC):
+        """Evaluate numerically; returns (value, abs_sum, cancelled).
+
+        cancelled is set when |value| < CANCEL_THRESHOLD * abs_sum, with
+        abs_sum the sum of |term|; the threshold is read at call time.
+        """
         if len(ell_values) != self.n_ell or len(m_values) != self.n_m:
             raise ShapeError(
                 f"value counts ({len(ell_values)},{len(m_values)}) do not "
@@ -724,8 +720,7 @@ class TightPoly:
         with mp.workprec(prec):
             vals = [mpmath.mpf(v) for v in ell_values] + \
                    [mpmath.mpf(v) for v in m_values]
-            pows = self._pow_tables(vals, prec)
-            # abs_total, the sum of |term|, drives the cancellation flag
+            pows = self._pow_tables(vals)
             total = 0
             abs_total = 0
             for k, q in self.terms.items():
@@ -739,7 +734,7 @@ class TightPoly:
                 else:
                     abs_total = abs_total + t
             cancelled = bool(abs_total) and \
-                abs(total) < mpmath.mpf(cancel_threshold) * abs_total
+                abs(total) < mpmath.mpf(CANCEL_THRESHOLD) * abs_total
             return total, abs_total, cancelled
 
     def eval(self, ell_values, m_values, prec: int = DEFAULT_PREC):
@@ -751,34 +746,37 @@ class TightPoly:
                           stacklevel=2)
         return total
 
-    def subst_m(self, m_values: Sequence[PiPoly]) -> dict:
-        """Substitute exact values for every m_k, keeping ell symbolic.
+    def subst_m(self, m_values: Sequence, lift,
+                ell: tuple | None = None) -> dict:
+        """Put values in for every m_k, keeping ell symbolic.
 
-        Returns {ell-exponent tuple: PiPoly}; m_values[k-1] replaces m_k.
+        Returns {ell-exponent tuple: sum of lift(q) prod m_k^e_k} over the
+        terms, restricted to the one ell-block ``ell`` when it is given.
+        m_values[k-1] replaces m_k; ``lift`` turns a Rational coefficient
+        into the values' type (PiPoly.const, an mpf at the caller's
+        precision, a constant MuSeries).  Each term multiplies the powers
+        into lift(q) in variable order, each power formed once by
+        repeated multiplication, as eval_full does.
         """
         if len(m_values) != self.n_m:
             raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
-        vals = [v if isinstance(v, PiPoly) else PiPoly.const(v)
-                for v in m_values]
-        pow_memo: dict = {}
-
-        def vpow(k, e):
-            key = (k, e)
-            if key not in pow_memo:
-                pow_memo[key] = vals[k] ** e
-            return pow_memo[key]
-
+        pows = [[None, v] for v in m_values]
         out: dict = {}
         n = self.n_ell
         for key, q in self.terms.items():
-            acc = PiPoly.const(q)
+            ell_key = key[:n]
+            if ell is not None and ell_key != ell:
+                continue
+            acc = lift(q)
             for k, e in enumerate(key[n:]):
                 if e:
-                    acc = acc * vpow(k, e)
-            ell_key = key[:n]
+                    tab = pows[k]
+                    while len(tab) <= e:
+                        tab.append(tab[-1] * tab[1])
+                    acc = acc * tab[e]
             cur = out.get(ell_key)
             out[ell_key] = acc if cur is None else cur + acc
-        return {k: v for k, v in out.items() if not v.is_zero}
+        return out
 
     # -- canonical order and serialization ---------------------------------
 

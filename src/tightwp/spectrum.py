@@ -201,7 +201,9 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     T_{g-r,2r}(x_1, x_1, ..., x_r, x_r, mu) x_1...x_r dx, where each cut
     curve contributes two equal boundary entries and c(mu) is the first
     output of ``normalization``.  The integrand is polynomial in the
-    x_i^2, so each monomial integrates in closed form.
+    x_i^2: ``TightPoly.subst_m`` reads P_{g-r,2r} at the moment values
+    grouped by ell-key, and the group with key l is weighted by
+    prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
     """
     r = windows.total_order
     if g - r < 0 or not admissible(g - r, 2 * r):
@@ -219,9 +221,10 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
+        groups = cell.poly.subst_m(m_vals[:cell.d],
+                                   lambda q: to_mpf(q, prec))
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
-        max_q = max((sum(key[:2 * r]) for key in cell.poly.terms),
-                    default=0)
+        max_q = max((sum(key) for key in groups), default=0)
         w_table = []
         for lo, hi in bounds:
             col = []
@@ -230,25 +233,10 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
                 col.append((hi ** t - lo ** t) / t)
             w_table.append(col)
 
-        m_pows: dict = {}
-
-        def m_pow(k, e):
-            got = m_pows.get((k, e))
-            if got is None:
-                got = m_vals[k] ** e
-                m_pows[(k, e)] = got
-            return got
-
         total = mpmath.mpf(0)
-        n_ell = 2 * r
-        for key, q in cell.poly.terms.items():
-            t = to_mpf(q, prec)
-            for k_idx, e in enumerate(key[n_ell:]):
-                if e:
-                    t *= m_pow(k_idx, e)
+        for key, t in groups.items():
             for i in range(r):
-                qq = key[2 * i] + key[2 * i + 1]
-                t *= w_table[i][qq]
+                t *= w_table[i][key[2 * i] + key[2 * i + 1]]
             total += t
         p_g_val = base.poly.eval([], m_vals[:base.d], prec)
         return +(total / p_g_val / mpmath.mpf(2) ** r)

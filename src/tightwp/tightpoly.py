@@ -246,21 +246,7 @@ def _frame_m_values(frame, d: int):
 def alpha_deriv(g: int, n: int, pvec: Sequence[int], frame,
                 cache=None) -> mpmath.mpf:
     """d P_{g,n} / d m_p evaluated at L = 0 and the moment vector."""
-    pvec = normalize_pvec(pvec)
-    if not admissible(g, n):
-        raise DomainError(f"inadmissible (g,n) = ({g},{n})")
-    cell = p_gn(g, n, cache=cache)
-    if sum(pvec) > cell.d:
-        return mpmath.mpf(0)
-    poly = cell.poly
-    for p in pvec:
-        if p > cell.d:
-            return mpmath.mpf(0)
-        poly = poly.dm(p)
-        if poly.is_zero:
-            return mpmath.mpf(0)
-    m_vals = _frame_m_values(frame, cell.d)
-    return poly.eval([mpmath.mpf(0)] * n, m_vals, frame.precision)
+    return alpha_coeff(g, n, pvec, (0,) * n, frame, cache=cache)
 
 
 def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
@@ -290,15 +276,8 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
     prec = frame.precision
     m_vals = _frame_m_values(frame, cell.d)
     with mp.workprec(prec):
-        total = mpmath.mpf(0)
-        for key, q in poly.terms.items():
-            if key[:n] != qvec:
-                continue
-            t = to_mpf(q, prec)
-            for k_idx, e in enumerate(key[n:]):
-                if e:
-                    t *= m_vals[k_idx] ** e
-            total += t
+        got = poly.subst_m(m_vals, lambda q: to_mpf(q, prec), ell=qvec)
+        total = got.get(qvec, mpmath.mpf(0))
         scale = (-m_vals[0] / 3) ** sum(qvec)
         return +(total * scale)
 

@@ -2,14 +2,15 @@
 evaluations and their classical degenerations."""
 
 import math
+import warnings
 
 import mpmath
 import pytest
 from mpmath import mp
 
-from tightwp import boltzmann, moments, tightpoly
+from tightwp import boltzmann, moments, ring, tightpoly
 from tightwp.boltzmann import LogValue
-from tightwp.errors import DomainError, TailMassError
+from tightwp.errors import CancellationWarning, DomainError, TailMassError
 from tightwp.ring import Rational
 
 PREC = 113
@@ -81,6 +82,18 @@ class TestTVolume:
             v = boltzmann.t_volume(g, n, [0.0] * n, 0.0, PREC).to_mpf(PREC)
             exact = moments.volume_extract(g, n, 0)[0].eval(PREC)
             assert abs(v / exact - 1) < mpmath.mpf(2) ** -90
+
+    def test_warns_exactly_when_eval_full_flags_cancellation(
+            self, monkeypatch):
+        # at mu_c/2 the terms of P_{2,0} have mixed signs (m_2 > 0), and
+        # their absolute sum is about 2.5 times the value
+        mu = moments.mu_critical(PREC) / 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", CancellationWarning)
+            boltzmann.t_volume(2, 0, [], mu, PREC)
+        monkeypatch.setattr(ring, "CANCEL_THRESHOLD", 1.0)
+        with pytest.warns(CancellationWarning):
+            boltzmann.t_volume(2, 0, [], mu, PREC)
 
     def test_validations(self):
         with pytest.raises(DomainError):

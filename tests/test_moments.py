@@ -358,7 +358,7 @@ class TestVolumeExtraction:
             (3,): PiPoly.term(Rational(16 * 5 + 384) / den, 1),
             (4,): PiPoly.const(Rational(5) / den),
         }
-        assert cell.poly.subst_m(m_vals) == expect
+        assert cell.poly.subst_m(m_vals, PiPoly.const) == expect
 
     def test_generating_function_positive_coefficients(self):
         s = moments.t_volume_series(2, 0, 40)

@@ -9,7 +9,7 @@ from tightwp import cache as twpcache
 from tightwp import intersection, moments, tightpoly, verify
 from tightwp.errors import BudgetError, CacheError, DomainError
 from tightwp.intersection import intersection_number
-from tightwp.ring import Rational, TightPoly
+from tightwp.ring import MuSeries, PiPoly, Rational, TightPoly, to_mpf
 
 PREC = 113
 
@@ -145,6 +145,28 @@ class TestPgn:
         bad = tightpoly.PolyCell(0, 5, poly)  # shape only matters here
         assert any("symmetric" in msg
                    for msg in tightpoly.validate_cell_report(bad))
+
+
+class TestSubstM:
+    def test_lifts_agree_and_ell_selects_one_group(self):
+        """P_{1,2} at mu = 0 read through every lift the package uses."""
+        poly = tightpoly.p_gn(1, 2).poly
+        m_vals = verify._mu0_m_values(poly.n_m)
+        full = poly.subst_m(m_vals, PiPoly.const)
+        series = poly.subst_m([MuSeries([v], order=0) for v in m_vals],
+                              lambda q: MuSeries([q], order=0))
+        assert series.keys() == full.keys()
+        for k, v in full.items():
+            assert series[k].coeff(0) == v
+        with mp.workprec(PREC):
+            numeric = poly.subst_m([v.eval(PREC) for v in m_vals],
+                                   lambda q: to_mpf(q, PREC))
+            assert numeric.keys() == full.keys()
+            for k, v in full.items():
+                assert abs(numeric[k] / v.eval(PREC) - 1) < \
+                    mpmath.mpf(2) ** -100
+        for k in full:
+            assert poly.subst_m(m_vals, PiPoly.const, ell=k) == {k: full[k]}
 
 
 class TestDiagnostics:
