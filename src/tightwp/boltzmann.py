@@ -5,6 +5,11 @@ M_0^-(2g-2+n) P_{g,n}(L, M) that blow up polynomially-in-1/M_0 near the
 critical fugacity; the LogValue wrapper keeps signs and natural-log
 magnitudes so ratios of astronomically large numbers stay representable
 at the API boundary.
+
+Callers read one cell at one moment vector for many L, so the moment
+values are put into P_{g,n} once per (g, n, mu, prec) and kept, grouped
+by ell-key (``cell_groups``); each evaluation is then a short sum over
+those groups.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from mpmath import mp
 
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
 from tightwp.moments import _newton_root, cached_frame, mu_critical
-from tightwp.ring import DEFAULT_PREC
+from tightwp.ring import DEFAULT_PREC, eval_ell_groups
 from tightwp.tightpoly import admissible, p_gn
 
 
@@ -110,33 +115,68 @@ class LogValue:
         return f"LogValue(sign={self.sign}, log={self.log_magnitude})"
 
 
+_groups: dict = {}  # (g, n, frame.mu, prec) -> (PolyCell, ell-groups)
+
+
+def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
+    """(frame, groups): the moment frame at mu and ``TightPoly.ell_groups``
+    of P_{g,n} at its m_k = M_k/M_0.
+
+    Memoized on (g, n, frame.mu, prec), where frame.mu is the exact mpf
+    ``cached_frame`` keys on.  An entry is reused only while ``p_gn``
+    returns the cell it was built from, so a cleared or replaced cell
+    never meets stale groups.
+    """
+    cell = p_gn(g, n, cache=cache)
+    frame = cached_frame(mu, cell.d, prec)
+    key = (g, n, frame.mu, prec)
+    got = _groups.get(key)
+    if got is None or got[0] is not cell:
+        with mp.workprec(prec):
+            m_vals = frame.m_ratios()[:cell.d]
+        got = _groups[key] = (cell, cell.poly.ell_groups(m_vals, prec))
+    return frame, got[1]
+
+
+def cell_value(g: int, n: int, ells: Sequence, mu,
+               prec: int = DEFAULT_PREC, cache=None):
+    """(frame, P_{g,n}(ell, M(mu))) from the memoized ``cell_groups``.
+
+    Warns (CancellationWarning) when ``ring.eval_ell_groups`` flags the
+    sum as cancelled (see ``ring.CANCEL_THRESHOLD``).
+    """
+    frame, groups = cell_groups(g, n, mu, prec, cache)
+    value, abs_sum, cancelled = eval_ell_groups(groups, ells, prec)
+    if cancelled:
+        with mp.workprec(prec):
+            kept = mpmath.nstr(abs(value) / abs_sum, 3)
+        warnings.warn(f"T_({g},{n}) evaluation kept {kept} of its term "
+                      "magnitude after cancellation", CancellationWarning,
+                      stacklevel=3)
+    return frame, value
+
+
 def t_volume(g: int, n: int, L: Sequence, mu,
              prec: int = DEFAULT_PREC, cache=None) -> LogValue:
     """T_{g,n}(L, mu) = M_0^-(2g-2+n) P_{g,n}(L, M) as a LogValue.
 
-    Warns (CancellationWarning) when ``TightPoly.eval_full`` flags the
-    polynomial evaluation as cancelled (see ``ring.CANCEL_THRESHOLD``).
+    P_{g,n} is read from ``cell_groups``: the moments are put in once per
+    (g, n, mu, prec), and each L costs one short sum over the cell's
+    ell-keys.  Warns (CancellationWarning) when that sum is flagged as
+    cancelled (see ``ring.CANCEL_THRESHOLD``).
     """
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
     if len(L) != n:
         raise DomainError(f"need {n} boundary lengths, got {len(L)}")
-    cell = p_gn(g, n, cache=cache)
-    frame = cached_frame(mu, cell.d, prec)
     with mp.workprec(prec):
         ells = [mpmath.mpf(x) ** 2 for x in L]
         if any(e < 0 for e in ells):
             raise DomainError("boundary lengths must be >= 0")
-        value, abs_sum, cancelled = cell.poly.eval_full(
-            ells, frame.m_ratios()[:cell.d], prec)
-        if cancelled:
-            warnings.warn(
-                f"T_({g},{n}) evaluation kept "
-                f"{mpmath.nstr(abs(value) / abs_sum, 3)} of its term "
-                "magnitude after cancellation", CancellationWarning,
-                stacklevel=2)
-        if value == 0:
-            return LogValue.zero()
+    frame, value = cell_value(g, n, ells, mu, prec, cache)
+    if value == 0:
+        return LogValue.zero()
+    with mp.workprec(prec):
         sign = 1 if value > 0 else -1
         log_mag = mpmath.log(abs(value)) \
             - (2 * g - 2 + n) * mpmath.log(frame.moments[0])

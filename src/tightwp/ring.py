@@ -16,8 +16,12 @@ threads:
                       variables m_1..m_D, with Rational coefficients.
                       ``subst_m`` is the one routine that puts values
                       (PiPoly, MuSeries or mpf) in for the m_k, grouped
-                      by ell-exponent; ``eval_full`` evaluates every
-                      variable numerically and tracks cancellation.
+                      by ell-exponent.  A numeric evaluation is two
+                      steps: ``ell_groups`` puts mpf values in for the
+                      m_k once (two ``subst_m`` passes, signed and
+                      absolute), and ``eval_ell_groups`` sums the groups
+                      at the ell-values and tracks cancellation;
+                      ``eval_full`` is the two in a row.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
@@ -486,6 +490,14 @@ def series_invert_z(order: int) -> MuSeries:
     return MuSeries._raw([0] + [x * (den // d) for x, d in coeffs], den, -1)
 
 
+def _power(tab: list, e: int):
+    """tab[e] for a power table [None, v, v^2, ...], extended as needed by
+    repeated multiplication."""
+    while len(tab) <= e:
+        tab.append(tab[-1] * tab[1])
+    return tab[e]
+
+
 class TightPoly:
     """Sparse polynomial in (ell_1..ell_n, m_1..m_D) over Rational.
 
@@ -689,53 +701,18 @@ class TightPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def _pow_tables(self, values):
-        maxes = [0] * (self.n_ell + self.n_m)
-        for k in self.terms:
-            for i, e in enumerate(k):
-                if e > maxes[i]:
-                    maxes[i] = e
-        pows = []
-        for i, v in enumerate(values):
-            tab = [mpmath.mpf(1)]
-            acc = mpmath.mpf(1)
-            for _ in range(maxes[i]):
-                acc = acc * v
-                tab.append(acc)
-            pows.append(tab)
-        return pows
-
     def eval_full(self, ell_values, m_values, prec: int = DEFAULT_PREC):
         """Evaluate numerically; returns (value, abs_sum, cancelled).
 
-        cancelled is set when |value| < CANCEL_THRESHOLD * abs_sum, with
-        abs_sum the sum of |term|; the threshold is read at call time.
+        ``ell_groups`` at the m-values, then ``eval_ell_groups`` at the
+        ell-values; see there for abs_sum and the cancellation flag.
         """
         if len(ell_values) != self.n_ell or len(m_values) != self.n_m:
             raise ShapeError(
                 f"value counts ({len(ell_values)},{len(m_values)}) do not "
                 f"match shape {self.shape}")
-        if prec < 53:
-            raise DomainError("precision must be at least 53 bits")
-        with mp.workprec(prec):
-            vals = [mpmath.mpf(v) for v in ell_values] + \
-                   [mpmath.mpf(v) for v in m_values]
-            pows = self._pow_tables(vals)
-            total = 0
-            abs_total = 0
-            for k, q in self.terms.items():
-                t = to_mpf(q, prec)
-                for i, e in enumerate(k):
-                    if e:
-                        t = t * pows[i][e]
-                total = total + t
-                if t < 0:
-                    abs_total = abs_total - t
-                else:
-                    abs_total = abs_total + t
-            cancelled = bool(abs_total) and \
-                abs(total) < mpmath.mpf(CANCEL_THRESHOLD) * abs_total
-            return total, abs_total, cancelled
+        return eval_ell_groups(self.ell_groups(m_values, prec), ell_values,
+                               prec)
 
     def eval(self, ell_values, m_values, prec: int = DEFAULT_PREC):
         """Numeric evaluation; warns on heavy cancellation."""
@@ -756,7 +733,7 @@ class TightPoly:
         into the values' type (PiPoly.const, an mpf at the caller's
         precision, a constant MuSeries).  Each term multiplies the powers
         into lift(q) in variable order, each power formed once by
-        repeated multiplication, as eval_full does.
+        repeated multiplication.
         """
         if len(m_values) != self.n_m:
             raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
@@ -770,13 +747,28 @@ class TightPoly:
             acc = lift(q)
             for k, e in enumerate(key[n:]):
                 if e:
-                    tab = pows[k]
-                    while len(tab) <= e:
-                        tab.append(tab[-1] * tab[1])
-                    acc = acc * tab[e]
+                    acc = acc * _power(pows[k], e)
             cur = out.get(ell_key)
             out[ell_key] = acc if cur is None else cur + acc
         return out
+
+    def ell_groups(self, m_values, prec: int = DEFAULT_PREC) -> dict:
+        """The m_k put in numerically, grouped by ell-exponent.
+
+        Returns {ell-key: (G, A)} with G = sum q prod m_k^e_k and
+        A = sum |q| prod |m_k|^e_k over the key's terms, as mpf at prec,
+        from two ``subst_m`` passes.  ``eval_ell_groups`` finishes the
+        evaluation at any ell-values, so a caller that reads one m-vector
+        at many lengths substitutes it once.
+        """
+        if prec < 53:
+            raise DomainError("precision must be at least 53 bits")
+        with mp.workprec(prec):
+            m = [mpmath.mpf(v) for v in m_values]
+            signed = self.subst_m(m, lambda q: to_mpf(q, prec))
+            unsigned = self.subst_m([abs(v) for v in m],
+                                    lambda q: to_mpf(abs(q), prec))
+        return {k: (v, unsigned[k]) for k, v in signed.items()}
 
     # -- canonical order and serialization ---------------------------------
 
@@ -806,3 +798,27 @@ class TightPoly:
     def __repr__(self):
         return (f"TightPoly(n_ell={self.n_ell}, n_m={self.n_m}, "
                 f"terms={len(self.terms)})")
+
+
+def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):
+    """Finish a ``TightPoly.ell_groups`` evaluation at the ell-values.
+
+    Returns (value, abs_sum, cancelled) with value = sum_l G_l prod
+    ell_i^l_i and abs_sum = sum_l A_l prod |ell_i|^l_i, which is the sum
+    of |term| over the polynomial's terms.  cancelled is set when |value|
+    < CANCEL_THRESHOLD * abs_sum; the threshold is read at call time.
+    """
+    with mp.workprec(prec):
+        pows = [[None, mpmath.mpf(v)] for v in ell_values]
+        total = abs_total = mpmath.mpf(0)
+        for key, (val, mag) in groups.items():
+            for i, e in enumerate(key):
+                if e:
+                    x = _power(pows[i], e)
+                    val = val * x
+                    mag = mag * abs(x)
+            total = total + val
+            abs_total = abs_total + mag
+        cancelled = bool(abs_total) and \
+            abs(total) < mpmath.mpf(CANCEL_THRESHOLD) * abs_total
+        return total, abs_total, cancelled

@@ -11,7 +11,7 @@ from mpmath import mp
 from tightwp import boltzmann, moments, ring, tightpoly
 from tightwp.boltzmann import LogValue
 from tightwp.errors import CancellationWarning, DomainError, TailMassError
-from tightwp.ring import Rational
+from tightwp.ring import Rational, TightPoly
 
 PREC = 113
 
@@ -104,6 +104,114 @@ class TestTVolume:
             boltzmann.t_volume(2, 0, [], 0.05, PREC)
 
 
+def _per_term_eval(poly, ell_values, m_values, prec):
+    """(value, sum of |term|) by the per-term loop: each monomial formed on
+    its own from power tables of every variable, then summed."""
+    with mp.workprec(prec):
+        vals = [mpmath.mpf(v) for v in list(ell_values) + list(m_values)]
+        tops = [max((k[i] for k in poly.terms), default=0)
+                for i in range(len(vals))]
+        pows = [[v ** e for e in range(top + 1)]
+                for v, top in zip(vals, tops)]
+        total = abs_total = mpmath.mpf(0)
+        for key, q in poly.terms.items():
+            t = ring.to_mpf(q, prec)
+            for i, e in enumerate(key):
+                if e:
+                    t *= pows[i][e]
+            total += t
+            abs_total += abs(t)
+        return total, abs_total
+
+
+def _rel(got, want):
+    with mp.workprec(PREC):
+        return abs(got / want - 1)
+
+
+class TestEllGroups:
+    """t_volume and eval_full read P_{g,n} through the per-(g, n, mu, prec)
+    ell-groups; they must match the per-term loop and never go stale."""
+
+    def test_agree_with_per_term_loop(self):
+        muc = moments.mu_critical(PREC)
+        tol = mpmath.mpf(2) ** -100
+        with mp.workprec(PREC):
+            mus = (muc / 2, muc * (1 - mpmath.mpf(10) ** -4))
+        for mu in mus:
+            for g, n in [(2, 2), (4, 1), (4, 2)]:
+                cell = tightpoly.p_gn(g, n)
+                frame = moments.cached_frame(mu, cell.d, PREC)
+                with mp.workprec(PREC):
+                    m_vals = frame.m_ratios()[:cell.d]
+                    m0_pow = frame.moments[0] ** (2 * g - 2 + n)
+                for x in (0.0, 0.3, 1.0, 2.5):
+                    L = [x * (1 + i / 3) for i in range(n)]
+                    with mp.workprec(PREC):
+                        ells = [mpmath.mpf(y) ** 2 for y in L]
+                    want, want_abs = _per_term_eval(cell.poly, ells, m_vals,
+                                                    PREC)
+                    value, abs_sum, _ = cell.poly.eval_full(ells, m_vals,
+                                                            PREC)
+                    assert _rel(value, want) < tol
+                    assert _rel(abs_sum, want_abs) < tol
+                    t = boltzmann.t_volume(g, n, L, mu, PREC)
+                    assert t.sign == (1 if want > 0 else -1)
+                    with mp.workprec(PREC):
+                        want_t = want / m0_pow
+                    assert _rel(t.to_mpf(PREC), want_t) < tol
+
+    def test_memo_keys_on_exact_mu(self, monkeypatch):
+        monkeypatch.setattr(boltzmann, "_groups", {})
+        prec = 256
+        with mp.workprec(prec + 16):
+            mu = moments.mu_critical(prec) / 2
+            mu_near = mu + mpmath.mpf(10) ** -45
+        a = boltzmann.t_volume(2, 1, [1.0], mu, prec)
+        b = boltzmann.t_volume(2, 1, [1.0], mu_near, prec)
+        assert len(boltzmann._groups) == 2
+        assert a.log_magnitude != b.log_magnitude
+        assert boltzmann.t_volume(2, 1, [1.0], mu, prec) == a
+
+    def test_replaced_cell_is_seen_at_cached_mu(self):
+        key = (2, 1)
+        old = tightpoly.p_gn(*key)
+        mu = moments.mu_critical(PREC) / 3
+        before = boltzmann.t_volume(2, 1, [1.0], mu, PREC)
+        terms = dict(old.poly.terms)
+        changed = min(terms)
+        terms[changed] += 1
+        new = tightpoly.PolyCell(2, 1, TightPoly(1, old.d, terms))
+        frame = moments.cached_frame(mu, old.d, PREC)
+        try:
+            tightpoly._cells[key] = new
+            after = boltzmann.t_volume(2, 1, [1.0], mu, PREC)
+            with mp.workprec(PREC):
+                want, _ = _per_term_eval(new.poly, [1],
+                                         frame.m_ratios()[:old.d], PREC)
+                want /= frame.moments[0] ** 3
+            assert after != before
+            assert _rel(after.to_mpf(PREC), want) < mpmath.mpf(2) ** -100
+        finally:
+            tightpoly._cells[key] = old
+        assert boltzmann.t_volume(2, 1, [1.0], mu, PREC) == before
+
+    def test_ten_lengths_substitute_once(self, monkeypatch):
+        monkeypatch.setattr(boltzmann, "_groups", {})
+        calls = []
+        subst_m = TightPoly.subst_m
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            return subst_m(self, *args, **kwargs)
+
+        monkeypatch.setattr(TightPoly, "subst_m", counting)
+        mu = moments.mu_critical(PREC) / 2
+        for i in range(10):
+            boltzmann.t_volume(4, 1, [0.3 * i], mu, PREC)
+        assert len(calls) == 2
+
+
 class TestFactorialMoments:
     def test_zero_at_mu_zero(self):
         assert boltzmann.factorial_moment(2, 0, 0.0, PREC).is_zero
@@ -139,6 +247,22 @@ class TestCuspPmf:
         assert abs(pmf.mean() / float(mean) - 1) < 1e-8
         m2 = boltzmann.factorial_moment(2, 1, muc / 2, PREC).to_mpf(PREC)
         assert abs(pmf.factorial_moment(2) / float(m2) - 1) < 1e-8
+
+    def test_volumes_built_once_across_mu(self, monkeypatch):
+        monkeypatch.setattr(moments, "_volumes", {})
+        calls = []
+        series = moments.t_volume_series
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return series(*args, **kwargs)
+
+        monkeypatch.setattr(moments, "t_volume_series", counting)
+        muc = moments.mu_critical(PREC)
+        a = boltzmann.cusp_pmf(2, muc / 2, pmax=50, prec=PREC)
+        b = boltzmann.cusp_pmf(2, muc * 0.45, pmax=50, prec=PREC)
+        assert len(calls) == 1
+        assert a.mean() > b.mean()
 
     def test_tail_failure_instructs_larger_pmax(self):
         muc = moments.mu_critical(PREC)

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from tightwp import moments
 from tightwp.errors import DomainError
-from tightwp.ring import PiPoly, Rational, pi_squared
+from tightwp.ring import PiPoly, Rational, TightPoly, pi_squared
 
 PREC = 113
 
@@ -366,6 +366,31 @@ class TestVolumeExtraction:
             c = s.coeff(j)
             assert not c.is_zero
             assert all(q > 0 for _e, q in c.items())
+
+    def test_lower_order_is_exact_prefix_in_either_order(self, monkeypatch):
+        for orders in ((47, 48, 50), (50, 47)):
+            monkeypatch.setattr(moments, "_volumes", {})
+            got = {p: moments.volume_extract(2, 0, p) for p in orders}
+            assert all(len(got[p]) == p + 1 for p in orders)
+            assert got[47] == got[50][:48]
+        v0 = got[50][0]
+        got[50][0] = None  # a caller's list is its own
+        assert moments.volume_extract(2, 0, 50)[0] == v0
+
+    def test_replaced_cell_rebuilds_volumes(self):
+        from tightwp import tightpoly
+
+        key = (1, 1)
+        old = tightpoly.p_gn(*key)
+        before = moments.volume_extract(1, 1, 3)
+        doubled = {k: 2 * q for k, q in old.poly.terms.items()}
+        try:
+            tightpoly._cells[key] = tightpoly.PolyCell(
+                1, 1, TightPoly(1, old.d, doubled))
+            assert moments.volume_extract(1, 1, 3) == [2 * v for v in before]
+        finally:
+            tightpoly._cells[key] = old
+        assert moments.volume_extract(1, 1, 3) == before
 
     def test_insufficient_order_rejected(self):
         with pytest.raises(DomainError):
