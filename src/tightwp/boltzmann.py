@@ -115,45 +115,22 @@ class LogValue:
         return f"LogValue(sign={self.sign}, log={self.log_magnitude})"
 
 
-_groups: dict = {}  # (g, n, frame.mu, prec) -> (PolyCell, ell-groups)
-
-
 def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     """(frame, groups): the moment frame at mu and ``TightPoly.ell_groups``
     of P_{g,n} at its m_k = M_k/M_0.
 
-    Memoized on (g, n, frame.mu, prec), where frame.mu is the exact mpf
-    ``cached_frame`` keys on.  An entry is reused only while ``p_gn``
-    returns the cell it was built from, so a cleared or replaced cell
-    never meets stale groups.
+    Kept on the cell (``PolyCell.groups``) under (frame.mu, prec), where
+    frame.mu is the exact mpf ``cached_frame`` keys on.
     """
     cell = p_gn(g, n, cache=cache)
     frame = cached_frame(mu, cell.d, prec)
-    key = (g, n, frame.mu, prec)
-    got = _groups.get(key)
-    if got is None or got[0] is not cell:
+    key = (frame.mu, prec)
+    groups = cell.groups.get(key)
+    if groups is None:
         with mp.workprec(prec):
             m_vals = frame.m_ratios()[:cell.d]
-        got = _groups[key] = (cell, cell.poly.ell_groups(m_vals, prec))
-    return frame, got[1]
-
-
-def cell_value(g: int, n: int, ells: Sequence, mu,
-               prec: int = DEFAULT_PREC, cache=None):
-    """(frame, P_{g,n}(ell, M(mu))) from the memoized ``cell_groups``.
-
-    Warns (CancellationWarning) when ``ring.eval_ell_groups`` flags the
-    sum as cancelled (see ``ring.CANCEL_THRESHOLD``).
-    """
-    frame, groups = cell_groups(g, n, mu, prec, cache)
-    value, abs_sum, cancelled = eval_ell_groups(groups, ells, prec)
-    if cancelled:
-        with mp.workprec(prec):
-            kept = mpmath.nstr(abs(value) / abs_sum, 3)
-        warnings.warn(f"T_({g},{n}) evaluation kept {kept} of its term "
-                      "magnitude after cancellation", CancellationWarning,
-                      stacklevel=3)
-    return frame, value
+        groups = cell.groups[key] = cell.poly.ell_groups(m_vals, prec)
+    return frame, groups
 
 
 def t_volume(g: int, n: int, L: Sequence, mu,
@@ -169,14 +146,20 @@ def t_volume(g: int, n: int, L: Sequence, mu,
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
     if len(L) != n:
         raise DomainError(f"need {n} boundary lengths, got {len(L)}")
+    frame, groups = cell_groups(g, n, mu, prec, cache)
     with mp.workprec(prec):
         ells = [mpmath.mpf(x) ** 2 for x in L]
         if any(e < 0 for e in ells):
             raise DomainError("boundary lengths must be >= 0")
-    frame, value = cell_value(g, n, ells, mu, prec, cache)
-    if value == 0:
-        return LogValue.zero()
-    with mp.workprec(prec):
+        value, abs_sum, cancelled = eval_ell_groups(groups, ells, prec)
+        if cancelled:
+            warnings.warn(
+                f"T_({g},{n}) evaluation kept "
+                f"{mpmath.nstr(abs(value) / abs_sum, 3)} of its term "
+                "magnitude after cancellation", CancellationWarning,
+                stacklevel=2)
+        if value == 0:
+            return LogValue.zero()
         sign = 1 if value > 0 else -1
         log_mag = mpmath.log(abs(value)) \
             - (2 * g - 2 + n) * mpmath.log(frame.moments[0])

@@ -358,31 +358,26 @@ def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
     return total * m0inv ** (2 * g - 2 + n)
 
 
-_volumes: dict = {}  # (g, n) -> (PolyCell, [V_{g,n+p}(0), p = 0..order])
-
-
 def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
     """Exact V_{g,n+p}(0) for p = 0..pmax, each a PiPoly.
 
     Expands T_{g,n}(0, mu) as a MuSeries and reads off p! [mu^p]; the
     identity T_{g,n,p}(L, 0^p) at L = 0 with V_{g,n+p}(0) makes the
     coefficients classical Weil-Petersson volumes.  The values do not
-    depend on mu, so one list per (g, n) is kept, for as long as
-    ``p_gn`` returns the cell it came from.  A pmax at or below the held
-    order gets a prefix, which is exact because a series of lower order
-    is a truncation; a higher pmax rebuilds and replaces the list.
+    depend on mu, so the cell keeps one list (``PolyCell.volumes``).  A
+    pmax at or below the held order gets a prefix, which is exact because
+    a series of lower order is a truncation; a higher pmax rebuilds and
+    replaces the list.
     """
     from tightwp import tightpoly  # local import, breaks the module cycle
 
     if pmax < 0:
         raise DomainError("pmax must be >= 0")
-    cell = tightpoly.p_gn(g, n, cache=cache)
-    got = _volumes.get((g, n))
-    if got is None or got[0] is not cell or len(got[1]) <= pmax:
+    held = tightpoly.p_gn(g, n, cache=cache).volumes
+    if len(held) <= pmax:
         series = t_volume_series(g, n, pmax, cache=cache)
         if series.order < pmax:
             raise DomainError("truncation order insufficient for pmax")
-        got = _volumes[(g, n)] = (cell, [
-            series.coeff(p) * Rational(math.factorial(p))
-            for p in range(pmax + 1)])
-    return got[1][:pmax + 1]
+        held[:] = [series.coeff(p) * Rational(math.factorial(p))
+                   for p in range(pmax + 1)]
+    return held[:pmax + 1]

@@ -20,12 +20,11 @@ from typing import Sequence
 import mpmath
 from mpmath import mp
 
-from tightwp.boltzmann import cell_groups, cell_value
 from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
-from tightwp.ring import DEFAULT_PREC
-from tightwp.tightpoly import admissible
+from tightwp.ring import DEFAULT_PREC, to_mpf
+from tightwp.tightpoly import admissible, p_gn
 
 
 def _rng(seed: int) -> random.Random:
@@ -202,11 +201,9 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     T_{g-r,2r}(x_1, x_1, ..., x_r, x_r, mu) x_1...x_r dx, where each cut
     curve contributes two equal boundary entries and c(mu) is the first
     output of ``normalization``.  The integrand is polynomial in the
-    x_i^2: ``boltzmann.cell_groups`` reads P_{g-r,2r} at the moment
-    values grouped by ell-key, and the group with key l is weighted by
+    x_i^2: ``TightPoly.subst_m`` reads P_{g-r,2r} at the moment values
+    grouped by ell-key, and the group with key l is weighted by
     prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
-    Both cells come from that memo, so repeated windows at one mu put
-    the moments in once.
     """
     r = windows.total_order
     if g - r < 0 or not admissible(g - r, 2 * r):
@@ -216,11 +213,16 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         mu = mpmath.mpf(mu)
         if not 0 < mu < mu_critical(prec):
             raise DomainError("expected counts need 0 < mu < mu_c")
-        frame, groups = cell_groups(g - r, 2 * r, mu, prec, cache)
+        cell = p_gn(g - r, 2 * r, cache=cache)
+        base = p_gn(g, 0, cache=cache)
+        frame = cached_frame(mu, max(cell.d, base.d), prec)
+        m_vals = frame.m_ratios()
         c = mpmath.sqrt(-frame.moments[1] / (12 * frame.moments[0]))
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
+        groups = cell.poly.subst_m(m_vals[:cell.d],
+                                   lambda q: to_mpf(q, prec))
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
         max_q = max((sum(key) for key in groups), default=0)
         w_table = []
@@ -232,11 +234,11 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
             w_table.append(col)
 
         total = mpmath.mpf(0)
-        for key, (t, _) in groups.items():
+        for key, t in groups.items():
             for i in range(r):
                 t *= w_table[i][key[2 * i] + key[2 * i + 1]]
             total += t
-        _, p_g_val = cell_value(g, 0, [], mu, prec, cache)
+        p_g_val = base.poly.eval([], m_vals[:base.d], prec)
         return +(total / p_g_val / mpmath.mpf(2) ** r)
 
 

@@ -20,7 +20,7 @@ in the sinh-normalized boundary variables).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -50,11 +50,22 @@ def admissible(g: int, n: int) -> bool:
 
 @dataclass(frozen=True)
 class PolyCell:
-    """A built polynomial P_{g,n} with its shape metadata."""
+    """A built polynomial P_{g,n} with its shape metadata.
+
+    ``groups`` and ``volumes`` hold values derived from ``poly`` and are
+    filled by their readers: ``boltzmann.cell_groups`` keeps the ell-groups
+    per (exact mu, prec), ``moments.volume_extract`` the exact volumes.
+    They live and die with the cell, so a cleared or replaced cell never
+    serves them.
+    """
 
     genus: int
     boundaries: int
     poly: TightPoly
+    groups: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+    volumes: list = field(default_factory=list, init=False, repr=False,
+                          compare=False)
 
     @property
     def d(self) -> int:

@@ -1,8 +1,10 @@
 """Boltzmann cusp statistics: log-domain values, generating-function
 evaluations and their classical degenerations."""
 
+import gc
 import math
 import warnings
+import weakref
 
 import mpmath
 import pytest
@@ -161,15 +163,16 @@ class TestEllGroups:
                         want_t = want / m0_pow
                     assert _rel(t.to_mpf(PREC), want_t) < tol
 
-    def test_memo_keys_on_exact_mu(self, monkeypatch):
-        monkeypatch.setattr(boltzmann, "_groups", {})
+    def test_memo_keys_on_exact_mu(self):
         prec = 256
         with mp.workprec(prec + 16):
             mu = moments.mu_critical(prec) / 2
             mu_near = mu + mpmath.mpf(10) ** -45
+        held = tightpoly.p_gn(2, 1).groups
+        before = {k for k in held if k[1] == prec}
         a = boltzmann.t_volume(2, 1, [1.0], mu, prec)
         b = boltzmann.t_volume(2, 1, [1.0], mu_near, prec)
-        assert len(boltzmann._groups) == 2
+        assert len({k for k in held if k[1] == prec} - before) == 2
         assert a.log_magnitude != b.log_magnitude
         assert boltzmann.t_volume(2, 1, [1.0], mu, prec) == a
 
@@ -196,8 +199,20 @@ class TestEllGroups:
             tightpoly._cells[key] = old
         assert boltzmann.t_volume(2, 1, [1.0], mu, PREC) == before
 
+    def test_clear_memory_cache_frees_cell_memos(self, monkeypatch):
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC)
+        moments.volume_extract(2, 1, 3)
+        cell = tightpoly.p_gn(2, 1)
+        assert cell.groups and cell.volumes
+        ref = weakref.ref(cell)
+        del cell
+        tightpoly.clear_memory_cache()
+        gc.collect()
+        assert ref() is None
+
     def test_ten_lengths_substitute_once(self, monkeypatch):
-        monkeypatch.setattr(boltzmann, "_groups", {})
+        monkeypatch.setattr(tightpoly, "_cells", {})
         calls = []
         subst_m = TightPoly.subst_m
 
@@ -249,7 +264,7 @@ class TestCuspPmf:
         assert abs(pmf.factorial_moment(2) / float(m2) - 1) < 1e-8
 
     def test_volumes_built_once_across_mu(self, monkeypatch):
-        monkeypatch.setattr(moments, "_volumes", {})
+        monkeypatch.setattr(tightpoly, "_cells", {})
         calls = []
         series = moments.t_volume_series
 
