@@ -23,9 +23,10 @@ import mpmath
 from mpmath import mp
 
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
-from tightwp.moments import _newton_root, cached_frame, mu_critical
+from tightwp.moments import (_newton_root, cached_frame, mu_critical,
+                             volume_extract)
 from tightwp.ring import DEFAULT_PREC, eval_ell_groups
-from tightwp.tightpoly import admissible, p_gn
+from tightwp.tightpoly import admissible, compositions, p_gn
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,8 @@ def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     key = (frame.mu, prec)
     groups = cell.groups.get(key)
     if groups is None:
-        with mp.workprec(prec):
-            m_vals = frame.m_ratios()[:cell.d]
-        groups = cell.groups[key] = cell.poly.ell_groups(m_vals, prec)
+        groups = cell.groups[key] = cell.poly.ell_groups(
+            frame.m_ratios()[:cell.d], prec)
     return frame, groups
 
 
@@ -233,8 +233,6 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
     with a geometric ratio test and must stay below tail_tol relative
     mass, otherwise TailMassError asks for a larger pmax.
     """
-    from tightwp.moments import volume_extract
-
     if g < 2:
         raise DomainError("cusp statistics need g >= 2")
     with mp.workprec(prec):
@@ -358,32 +356,10 @@ def separating_decompositions(g: int, r: int, q: int):
     if not 1 < q <= r + 1:
         raise DomainError("separating sums need 1 < q <= r + 1")
     g_total = g + q - r - 1
-
-    def compositions(total, parts, minimum):
-        if parts == 1:
-            if total >= minimum:
-                yield (total,)
-            return
-        for first in range(minimum, total + 1):
-            for rest in compositions(total - first, parts - 1, minimum):
-                yield (first,) + rest
-
     out = []
-    for nvec in compositions(2 * r, q, 1):
+    for nvec in compositions(2 * r, (1,) * q):
         mins = [1 if n_i <= 2 else 0 for n_i in nvec]
-
-        def gcomps(total, i):
-            if i == q - 1:
-                if total >= mins[i]:
-                    yield (total,)
-                return
-            for first in range(mins[i], total + 1):
-                for rest in gcomps(total - first, i + 1):
-                    yield (first,) + rest
-
-        if g_total < sum(mins):
-            continue
-        for gvec in gcomps(g_total, 0):
+        for gvec in compositions(g_total, mins):
             out.append(tuple(zip(gvec, nvec)))
     return out
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
+from tightwp import tightpoly
 from tightwp.errors import DomainError
 from tightwp.ring import (DEFAULT_PREC, MuSeries, PiPoly, Rational,
                           series_invert_z)
@@ -247,9 +248,11 @@ class MomentFrame:
         return self.moments[0]
 
     def m_ratios(self) -> tuple:
-        """(M_1/M_0, ..., M_D/M_0), the values substituted for m_k."""
+        """(M_1/M_0, ..., M_D/M_0), the values substituted for m_k, formed
+        at the frame's precision whatever the caller's mp.prec."""
         m0 = self.moments[0]
-        return tuple(mk / m0 for mk in self.moments[1:])
+        with mp.workprec(self.precision):
+            return tuple(mk / m0 for mk in self.moments[1:])
 
 
 def make_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
@@ -346,8 +349,6 @@ def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
     The L = 0 terms of P_{g,n} read at m_k = M_k/M_0 through
     ``TightPoly.subst_m``.
     """
-    from tightwp import tightpoly  # local import, breaks the module cycle
-
     cell = tightpoly.p_gn(g, n, cache=cache)
     m0inv = moment_series(0, order).inverse()
     ratios = [moment_series(k, order) * m0inv for k in range(1, cell.d + 1)]
@@ -369,8 +370,6 @@ def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
     a series of lower order is a truncation; a higher pmax rebuilds and
     replaces the list.
     """
-    from tightwp import tightpoly  # local import, breaks the module cycle
-
     if pmax < 0:
         raise DomainError("pmax must be >= 0")
     held = tightpoly.p_gn(g, n, cache=cache).volumes

@@ -20,8 +20,7 @@ threads:
                       steps: ``ell_groups`` puts mpf values in for the
                       m_k once (two ``subst_m`` passes, signed and
                       absolute), and ``eval_ell_groups`` sums the groups
-                      at the ell-values and tracks cancellation;
-                      ``eval_full`` is the two in a row.
+                      at the ell-values and tracks cancellation.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
@@ -33,13 +32,12 @@ work lives in :mod:`tightwp.boltzmann`.
 from __future__ import annotations
 
 import math
-import warnings
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
 
-from tightwp.errors import CancellationWarning, DomainError, ShapeError
+from tightwp.errors import DomainError, ShapeError
 
 try:
     from gmpy2 import mpq as Rational
@@ -312,13 +310,6 @@ class MuSeries:
     def zero(cls, order: int) -> "MuSeries":
         return cls([], order=order)
 
-    @classmethod
-    def identity(cls, order: int) -> "MuSeries":
-        """The series mu itself."""
-        if order < 1:
-            raise DomainError("identity needs order >= 1")
-        return cls([0, 1], order=order)
-
     def truncate(self, order: int) -> "MuSeries":
         return MuSeries._raw(_fit(list(self._n), order), self._d, self._s)
 
@@ -371,25 +362,6 @@ class MuSeries:
         return (self._n, self._d, self._s) == (other._n, other._d, other._s)
 
     __hash__ = None
-
-    def compose(self, inner: "MuSeries") -> "MuSeries":
-        """self o inner, truncated to min(orders); inner(0) must vanish and
-        inner must have shift -1 (as R does), so the result keeps the
-        shift of self."""
-        p = self._common(inner)
-        inner = inner.truncate(p)
-        if inner._n[0]:
-            raise DomainError("composition requires zero inner constant term")
-        if any(inner._n) and inner._s != -1:
-            raise DomainError("composition requires an inner shift of -1")
-        # Horner: after each step the partial sum is out / (den * den_pow)
-        a, den_pow = self._n, 1
-        out = [a[p]] + [0] * p
-        for j in range(p - 1, -1, -1):
-            out = _conv(out, inner._n, p)
-            den_pow *= inner._d
-            out[0] += a[j] * den_pow
-        return MuSeries._raw(out, self._d * den_pow, self._s)
 
     def inverse(self) -> "MuSeries":
         """Multiplicative inverse; the constant term must be a nonzero
@@ -454,12 +426,6 @@ def _inv(c: Sequence[int]) -> tuple:
     if den < 0:
         return [-x for x in w], -den
     return w, den
-
-
-def z_r_coefficient(m: int) -> PiPoly:
-    """Coefficient of r^(m+1) in Z(r, mu) + mu:  (-2 pi^2)^m / (m! (m+1)!)."""
-    q = Rational((-2) ** m, math.factorial(m) * math.factorial(m + 1))
-    return PiPoly.term(q, m)
 
 
 def series_invert_z(order: int) -> MuSeries:
@@ -587,9 +553,6 @@ class TightPoly:
         return sum(key[:n]) + sum((j + 1) * e
                                   for j, e in enumerate(key[n:]))
 
-    def grades(self):
-        return {self.grade(k) for k in self.terms}
-
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
@@ -701,28 +664,6 @@ class TightPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def eval_full(self, ell_values, m_values, prec: int = DEFAULT_PREC):
-        """Evaluate numerically; returns (value, abs_sum, cancelled).
-
-        ``ell_groups`` at the m-values, then ``eval_ell_groups`` at the
-        ell-values; see there for abs_sum and the cancellation flag.
-        """
-        if len(ell_values) != self.n_ell or len(m_values) != self.n_m:
-            raise ShapeError(
-                f"value counts ({len(ell_values)},{len(m_values)}) do not "
-                f"match shape {self.shape}")
-        return eval_ell_groups(self.ell_groups(m_values, prec), ell_values,
-                               prec)
-
-    def eval(self, ell_values, m_values, prec: int = DEFAULT_PREC):
-        """Numeric evaluation; warns on heavy cancellation."""
-        total, _, cancelled = self.eval_full(ell_values, m_values, prec)
-        if cancelled:
-            warnings.warn("tight polynomial evaluation lost most of its "
-                          "magnitude to cancellation", CancellationWarning,
-                          stacklevel=2)
-        return total
-
     def subst_m(self, m_values: Sequence, lift,
                 ell: tuple | None = None) -> dict:
         """Put values in for every m_k, keeping ell symbolic.
@@ -807,7 +748,11 @@ def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):
     ell_i^l_i and abs_sum = sum_l A_l prod |ell_i|^l_i, which is the sum
     of |term| over the polynomial's terms.  cancelled is set when |value|
     < CANCEL_THRESHOLD * abs_sum; the threshold is read at call time.
+    Raises ShapeError when the number of ell-values is not the key length.
     """
+    key = next(iter(groups), None)
+    if key is not None and len(key) != len(ell_values):
+        raise ShapeError(f"need {len(key)} ell-values, got {len(ell_values)}")
     with mp.workprec(prec):
         pows = [[None, mpmath.mpf(v)] for v in ell_values]
         total = abs_total = mpmath.mpf(0)

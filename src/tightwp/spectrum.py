@@ -20,6 +20,7 @@ from typing import Sequence
 import mpmath
 from mpmath import mp
 
+from tightwp.boltzmann import cusp_pmf, t_volume
 from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
@@ -204,6 +205,7 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     x_i^2: ``TightPoly.subst_m`` reads P_{g-r,2r} at the moment values
     grouped by ell-key, and the group with key l is weighted by
     prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
+    T_g(mu) is ``boltzmann.t_volume`` at (g, 0).
     """
     r = windows.total_order
     if g - r < 0 or not admissible(g - r, 2 * r):
@@ -214,14 +216,12 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         if not 0 < mu < mu_critical(prec):
             raise DomainError("expected counts need 0 < mu < mu_c")
         cell = p_gn(g - r, 2 * r, cache=cache)
-        base = p_gn(g, 0, cache=cache)
-        frame = cached_frame(mu, max(cell.d, base.d), prec)
-        m_vals = frame.m_ratios()
+        frame = cached_frame(mu, cell.d, prec)
         c = mpmath.sqrt(-frame.moments[1] / (12 * frame.moments[0]))
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
-        groups = cell.poly.subst_m(m_vals[:cell.d],
+        groups = cell.poly.subst_m(frame.m_ratios(),
                                    lambda q: to_mpf(q, prec))
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
         max_q = max((sum(key) for key in groups), default=0)
@@ -238,8 +238,10 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
             for i in range(r):
                 t *= w_table[i][key[2 * i] + key[2 * i + 1]]
             total += t
-        p_g_val = base.poly.eval([], m_vals[:base.d], prec)
-        return +(total / p_g_val / mpmath.mpf(2) ** r)
+        # P_{g-r,2r} over M_0^(2g-2) is T_{g-r,2r}, since 2(g-r)-2+2r = 2g-2
+        t_g = t_volume(g, 0, [], mu, prec, cache).to_mpf(prec)
+        return +(total / frame.moments[0] ** (2 * g - 2) / t_g
+                 / mpmath.mpf(2) ** r)
 
 
 def mp_convergence_table(g_range: Sequence[int], beta: float,
@@ -332,8 +334,6 @@ _pmf_cache: dict = {}
 
 
 def _cached_pmf(g: int, mu, prec: int, cache):
-    from tightwp.boltzmann import cusp_pmf
-
     with mp.workprec(prec):
         key = (g, mpmath.mpf(mu), prec)
     pmf = _pmf_cache.get(key)

@@ -112,14 +112,15 @@ def term_count(g: int, n: int) -> int:
     return out[d]
 
 
-def _compositions(total: int, parts: int):
-    """Tuples of `parts` ints >= 0 summing to `total`, in lex order."""
-    if parts <= 1:
-        if parts or not total:  # no parts can only sum to 0
-            yield (total,) * parts
+def compositions(total: int, mins: Sequence[int]):
+    """Tuples c of len(mins) ints with c[i] >= mins[i] and sum total, in
+    lex order."""
+    if len(mins) <= 1:  # the last entry takes the rest; none sums to 0
+        if (total >= mins[0]) if mins else total == 0:
+            yield (total,) * len(mins)
         return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+    for first in range(mins[0], total - sum(mins[1:]) + 1):
+        for rest in compositions(total - first, mins[1:]):
             yield (first,) + rest
 
 
@@ -128,7 +129,7 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
     correlator per (m-key, sorted ell-block), terms in canonical order."""
     d = 3 * g - 3 + n
     ell_blocks = [[(c, tuple(sorted(c, reverse=True)))
-                   for c in _compositions(j, n)] for j in range(d + 1)]
+                   for c in compositions(j, (0,) * n)] for j in range(d + 1)]
     m_blocks = []
     for weight in range(d + 1):
         for part in partitions(weight):
@@ -247,13 +248,6 @@ def phi(g: int, n: int, pvec: Sequence[int], frame) -> mpmath.mpf:
         return +val
 
 
-def _frame_m_values(frame, d: int):
-    if frame.d_max < d:
-        raise DomainError(
-            f"frame holds moments up to {frame.d_max}, need {d}")
-    return frame.m_ratios()[:d]
-
-
 def alpha_deriv(g: int, n: int, pvec: Sequence[int], frame,
                 cache=None) -> mpmath.mpf:
     """d P_{g,n} / d m_p evaluated at L = 0 and the moment vector."""
@@ -284,8 +278,11 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
         poly = poly.dm(p)
         if poly.is_zero:
             return mpmath.mpf(0)
+    if frame.d_max < cell.d:
+        raise DomainError(
+            f"frame holds moments up to {frame.d_max}, need {cell.d}")
     prec = frame.precision
-    m_vals = _frame_m_values(frame, cell.d)
+    m_vals = frame.m_ratios()[:cell.d]
     with mp.workprec(prec):
         got = poly.subst_m(m_vals, lambda q: to_mpf(q, prec), ell=qvec)
         total = got.get(qvec, mpmath.mpf(0))

@@ -132,8 +132,8 @@ def _rel(got, want):
 
 
 class TestEllGroups:
-    """t_volume and eval_full read P_{g,n} through the per-(g, n, mu, prec)
-    ell-groups; they must match the per-term loop and never go stale."""
+    """t_volume reads P_{g,n} through the per-(g, n, mu, prec) ell-groups;
+    they must match the per-term loop and never go stale."""
 
     def test_agree_with_per_term_loop(self):
         muc = moments.mu_critical(PREC)
@@ -153,8 +153,8 @@ class TestEllGroups:
                         ells = [mpmath.mpf(y) ** 2 for y in L]
                     want, want_abs = _per_term_eval(cell.poly, ells, m_vals,
                                                     PREC)
-                    value, abs_sum, _ = cell.poly.eval_full(ells, m_vals,
-                                                            PREC)
+                    value, abs_sum, _ = ring.eval_ell_groups(
+                        cell.poly.ell_groups(m_vals, PREC), ells, PREC)
                     assert _rel(value, want) < tol
                     assert _rel(abs_sum, want_abs) < tol
                     t = boltzmann.t_volume(g, n, L, mu, PREC)
@@ -366,7 +366,9 @@ def test_crude_bound_ratio_stays_bounded():
         for e in (2, 3, 4, 6, 8, 10):
             fr = moments.cached_frame(muc - mpmath.mpf(10) ** -e, cell.d,
                                       PREC)
-            val = cell.poly.eval([1.0], fr.m_ratios()[:cell.d], PREC)
+            val, _, _ = ring.eval_ell_groups(
+                cell.poly.ell_groups(fr.m_ratios()[:cell.d], PREC), [1.0],
+                PREC)
             scale = (-fr.moments[1] / fr.moments[0]) ** cell.d
             ratios.append(abs(float(val / scale)))
     assert all(math.isfinite(r) for r in ratios)

@@ -221,6 +221,15 @@ class TestMoments:
         with pytest.raises(DomainError):
             moments.make_frame(0.032, 2, PREC)  # above mu_c
 
+    def test_m_ratios_at_frame_precision(self):
+        prec = 256
+        frame = moments.make_frame(0.01, 4, prec)
+        with mp.workprec(prec):
+            want = tuple(mk / frame.moments[0] for mk in frame.moments[1:])
+        with mp.workprec(53):
+            got = frame.m_ratios()
+        assert got == want
+
     def test_frame_keeps_every_bit_of_mu(self):
         with mp.workprec(PREC):
             mu = moments.mu_critical(PREC) / 3  # not a 53-bit float

@@ -9,7 +9,8 @@ from tightwp import cache as twpcache
 from tightwp import intersection, moments, tightpoly, verify
 from tightwp.errors import BudgetError, CacheError, DomainError
 from tightwp.intersection import intersection_number
-from tightwp.ring import MuSeries, PiPoly, Rational, TightPoly, to_mpf
+from tightwp.ring import (MuSeries, PiPoly, Rational, TightPoly,
+                          eval_ell_groups, to_mpf)
 
 PREC = 113
 
@@ -40,8 +41,8 @@ class TestPg0:
 
     def test_every_monomial_graded(self):
         for g in (2, 3, 4):
-            cell = tightpoly.p_gn(g, 0)
-            assert cell.poly.grades() == {3 * g - 3}
+            poly = tightpoly.p_gn(g, 0).poly
+            assert {poly.grade(k) for k in poly.terms} == {3 * g - 3}
 
     def test_budget_refusal_names_cell(self):
         with pytest.raises(BudgetError) as err:
@@ -178,8 +179,22 @@ class TestDiagnostics:
         cell = tightpoly.p_gn(2, 0)
         fr = moments.cached_frame(self.frame3.mu, cell.d, PREC)
         a = tightpoly.alpha_deriv(2, 0, (), fr)
-        direct = cell.poly.eval([], fr.m_ratios()[:cell.d], PREC)
+        direct, _, _ = eval_ell_groups(
+            cell.poly.ell_groups(fr.m_ratios()[:cell.d], PREC), [], PREC)
         assert a == direct
+
+    def test_alpha_deriv_reads_ratios_at_frame_precision(self):
+        # the ratios M_k/M_0 are formed at the frame's 113 bits, not at the
+        # caller's mp.prec
+        cell = tightpoly.p_gn(2, 0)
+        fr = self.frame3
+        with mp.workprec(PREC):
+            m0 = fr.moments[0]
+            ratios = [mk / m0 for mk in fr.moments[1:cell.d + 1]]
+            want = cell.poly.subst_m(ratios, lambda q: to_mpf(q, PREC))[()]
+        with mp.workprec(53):
+            got = tightpoly.alpha_deriv(2, 0, (), fr)
+        assert got == want
 
     def test_alpha_deriv_zero_beyond_degree(self):
         cell = tightpoly.p_gn(2, 0)
