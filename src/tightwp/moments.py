@@ -13,7 +13,14 @@ Exact side: the formal mu-series of R and of every M_k, each a MuSeries
 of single-power-of-pi^2 coefficients (int numerators over one common
 denominator, so products and sums run on ints), plus the extraction of
 classical Weil-Petersson volumes V_{g,n+p}(0) from the cusp generating
-function.
+function.  With c = -2 pi^2, F(r) = sum c^m r^(m+1) / (m! (m+1)!) and
+f_k(r) = sum c^(m+k) r^m / (m! (m+k)!), mu = F(R) and M_k = f_k(R).
+Since F' = f_0, f_k' = f_(k+1) and r f_1 = c F, the series obey
+(i) R' M_0 = 1 and (ii) (M_0^2)' R = 2 c mu, so M_0' R = c mu R'.  Each
+gives the next coefficient of R or M_0 from one int dot product, O(p^2)
+to order p in all.  Then M_(k+1) = M_0 M_k', so the ratios m_k = M_k/M_0
+are m_1 = M_0' and m_(k+1) = (M_0 m_k)', and 1/M_0 = R': one product
+and one derivative per k, with no series inverse and no powers of R.
 """
 
 from __future__ import annotations
@@ -26,10 +33,7 @@ from mpmath import mp
 
 from tightwp import tightpoly
 from tightwp.errors import DomainError
-from tightwp.ring import (DEFAULT_PREC, MuSeries, PiPoly, Rational,
-                          series_invert_z)
-
-_R1 = Rational(1)
+from tightwp.ring import DEFAULT_PREC, MuSeries, Rational
 
 
 def _newton_root(fdf, lo, hi, x0, rel_tol):
@@ -307,51 +311,67 @@ def cached_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
 
 # -- exact formal series ----------------------------------------------------
 
-@functools.cache
+def _r_and_m0(order: int) -> tuple:
+    """(R, M_0) as MuSeries of the given order >= 1.
+
+    With pi^2 scaled out, u[n] = n! (n-1)! [mu^n] R and y[n] = n!^2
+    [mu^n] M_0 are ints.  At mu^n, (ii) as M_0' R = c mu R' gives y[n],
+    then (i) gives u[n+1].  (i) has int weights; with u[1..n] integral,
+    so is n!^2 [mu^n] R^m / m!^2, hence y[n] = n!^2 [mu^n] f_0(R), so
+    (ii)'s division by n + 1 is exact.
+    """
+    u, y = [0, 1], [1]
+    for n in range(1, order + 1):
+        acc = sum(math.comb(n + 1, i) * math.comb(n - 1, i - 1)
+                  * y[i] * u[n + 1 - i] for i in range(1, n))
+        y.append(-2 * n * u[n] - acc // (n + 1))
+        u.append(-sum(math.comb(n, i) ** 2 * u[i + 1] * y[n - i]
+                      for i in range(n)))
+    fact = [math.factorial(n) for n in range(order + 1)]
+    den_r = fact[order] * fact[order - 1]
+    r = MuSeries._raw([0] + [u[n] * (den_r // (fact[n] * fact[n - 1]))
+                             for n in range(1, order + 1)], den_r, -1)
+    m0 = MuSeries._raw([y[n] * (fact[order] // fact[n]) ** 2
+                        for n in range(order + 1)], fact[order] ** 2, 0)
+    return r, m0
+
+
+def _ratios(m0: MuSeries, d: int) -> list:
+    """[m_1, ..., m_d] with m_k = M_k/M_0, from m_1 = M_0' and
+    m_(k+1) = (M_0 m_k)'; m_k is k orders shorter than m0."""
+    out = []
+    for _ in range(d):
+        out.append((m0 * out[-1] if out else m0).derivative())
+    return out
+
+
 def r_series(order: int) -> MuSeries:
-    """Cached R(mu) series."""
-    return series_invert_z(order)
-
-
-@functools.cache
-def _r_pows(order: int) -> tuple:
-    """(R^0, ..., R^order) as series of the given order; cached."""
-    r = r_series(order)
-    pows = [MuSeries([1], order=order)]
-    for _ in range(order):
-        pows.append(pows[-1] * r)
-    return tuple(pows)
+    """R(mu), the root of Z(R(mu), mu) = 0 with R(0) = 0, as an exact
+    MuSeries; [mu^j] R is a rational times pi^(2j-2)."""
+    if order < 1:
+        raise DomainError("r_series needs order >= 1")
+    return _r_and_m0(order)[0]
 
 
 def moment_series(k: int, order: int) -> MuSeries:
-    """M_k(mu) as an exact MuSeries.
-
-    Composition of sum_m (-2 pi^2)^(m+k) r^m / (m!(m+k)!) with R(mu);
-    the powers of R are shared across k.
-    """
+    """M_k(mu) as an exact MuSeries: M_0 = f_0(R), M_k = M_0 m_k."""
     if k < 0 or order < 0:
         raise DomainError("moment_series needs k >= 0, order >= 0")
-    if order == 0:
-        q = Rational((-2) ** k, math.factorial(k))
-        return MuSeries([PiPoly.term(q, k)], order=0)
-    pows = _r_pows(order)
-    out = MuSeries.zero(order)
-    for m in range(order + 1):
-        q = Rational((-2) ** (m + k),
-                     math.factorial(m) * math.factorial(m + k))
-        out = out + pows[m] * PiPoly.term(q, m + k)
-    return out
+    m0 = _r_and_m0(max(order + k, 1))[1]
+    mk = m0 * _ratios(m0, k)[-1] if k else m0
+    return mk.truncate(order)
 
 
 def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
     """Exact MuSeries of T_{g,n}(0, mu) = M_0^-(2g-2+n) P_{g,n}(0, M).
 
     The L = 0 terms of P_{g,n} read at m_k = M_k/M_0 through
-    ``TightPoly.subst_m``.
+    ``TightPoly.subst_m``, times R'^(2g-2+n).
     """
     cell = tightpoly.p_gn(g, n, cache=cache)
-    m0inv = moment_series(0, order).inverse()
-    ratios = [moment_series(k, order) * m0inv for k in range(1, cell.d + 1)]
+    r, m0 = _r_and_m0(order + max(cell.d, 1))
+    m0inv = r.derivative().truncate(order)
+    ratios = [m.truncate(order) for m in _ratios(m0, cell.d)]
     zero = (0,) * n
     got = cell.poly.subst_m(ratios, lambda q: MuSeries([q], order=order),
                             ell=zero)

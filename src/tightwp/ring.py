@@ -363,14 +363,13 @@ class MuSeries:
 
     __hash__ = None
 
-    def inverse(self) -> "MuSeries":
-        """Multiplicative inverse; the constant term must be a nonzero
-        rational (pi^2-degree zero)."""
-        if not self._n[0] or self._s != 0:
-            raise DomainError("series inverse needs a nonzero rational "
-                              "constant term")
-        nums, den = _inv(self._n)
-        return MuSeries._raw([x * self._d for x in nums], den, 0)
+    def derivative(self) -> "MuSeries":
+        """d/dmu, one order lower: [mu^j] is (j + 1) [mu^(j+1)], and the
+        shift grows by one."""
+        if self.order < 1:
+            raise DomainError("the derivative needs order >= 1")
+        return MuSeries._raw([j * x for j, x in enumerate(self._n)][1:],
+                             self._d, self._s + 1)
 
     def eval(self, mu_value, prec: int = DEFAULT_PREC):
         """Horner evaluation at a numeric mu."""
@@ -404,56 +403,6 @@ def _conv(a: Sequence[int], b: Sequence[int], p: int) -> list:
                 if b[j]:
                     out[i + j] += x * b[j]
     return out
-
-
-def _inv(c: Sequence[int]) -> tuple:
-    """Reciprocal of an int coefficient list with c[0] != 0, as
-    (numerators, positive denominator c[0]^len(c)), not reduced.
-
-    With w = K / c for K = c[0]^len(c), w[0] = K / c[0] and the recurrence
-    c[0] w[s] = -sum_{t>=1} c[t] w[s-t] divides exactly, because [mu^s]
-    of 1/c has a denominator dividing c[0]^(s+1).
-    """
-    c0, p = c[0], len(c) - 1
-    w = [c0 ** p] + [0] * p
-    for s in range(1, p + 1):
-        acc = 0
-        for t in range(1, s + 1):
-            if c[t]:
-                acc += c[t] * w[s - t]
-        w[s] = -acc // c0
-    den = c0 ** (p + 1)
-    if den < 0:
-        return [-x for x in w], -den
-    return w, den
-
-
-def series_invert_z(order: int) -> MuSeries:
-    """The series R(mu) solving Z(R(mu), mu) = 0 with R(0) = 0.
-
-    Formal inversion of mu = sum_{m>=0} (-2 pi^2)^m r^(m+1) / (m!(m+1)!).
-    The series is pi^2-graded ([mu^j] R is a rational times pi^(2j-2)), so
-    the inversion runs on int numerators via Lagrange inversion:
-    [mu^j] R = (1/j) [r^(j-1)] (r / f(r))^j.
-    """
-    if order < 1:
-        raise DomainError("series_invert_z needs order >= 1")
-    # h = r/f(r) with pi^2 scaled out, the reciprocal of f(r)/r, whose
-    # numerators over F = (order-1)! order! are (-2)^m F / (m! (m+1)!)
-    fact = [math.factorial(m) for m in range(order + 1)]
-    big_f = fact[order - 1] * fact[order]
-    nums, den = _inv([(-2) ** m * (big_f // (fact[m] * fact[m + 1]))
-                      for m in range(order)])
-    h = MuSeries._raw([x * big_f for x in nums], den, 0)
-    # [r^(j-1)] h^j / j as (numerator, denominator), for j = 1..order
-    h_pow = h
-    coeffs = [(h._n[0], h._d)]
-    for j in range(2, order + 1):
-        h_pow = MuSeries._raw(_conv(h_pow._n, h._n, order - 1),
-                              h_pow._d * h._d, 0)
-        coeffs.append((h_pow._n[j - 1], j * h_pow._d))
-    den = math.lcm(*(d for _, d in coeffs))
-    return MuSeries._raw([0] + [x * (den // d) for x, d in coeffs], den, -1)
 
 
 def _power(tab: list, e: int):

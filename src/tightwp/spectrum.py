@@ -72,20 +72,32 @@ def intensity(a, b, prec: int = DEFAULT_PREC):
         return +total
 
 
+def _intensity_divisors() -> tuple:
+    """2k (2k)! for k = 1, 2, ... while the float (2k)! is finite."""
+    out, fact, k = [], 1.0, 1
+    while not math.isinf(fact := fact * ((2 * k - 1) * (2 * k))):
+        out.append(2 * k * fact)
+        k += 1
+    return tuple(out)
+
+
+_INTENSITY_DIV = _intensity_divisors()
+
+
 def _intensity_f(t: float) -> float:
-    """Fast float-only lambda_{0,t} for the sampler inner loops."""
+    """Fast float-only lambda_{0,t} for the sampler inner loops; the sum
+    stops at a negligible term or, where later terms are 0, the table's
+    end.  An overflowing t^2k leaves it inf or nan."""
     total = 0.0
     p = 1.0
-    fact = 1.0
-    k = 0
-    while True:
-        k += 1
-        p *= t * t
-        fact *= (2 * k - 1) * (2 * k)
-        term = p / (2 * k * fact)
+    t2 = t * t
+    for div in _INTENSITY_DIV:
+        p *= t2
+        term = p / div
         total += term
         if term < 1e-18 * total + 5e-324:
-            return total
+            break
+    return total
 
 
 def systole_tail(t, prec: int = DEFAULT_PREC):
@@ -284,10 +296,14 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
 
 
 def _poisson_draw(rng: random.Random, lam: float) -> int:
-    """Inverse-CDF Poisson draw (lam modest in all uses)."""
+    """Inverse-CDF Poisson draw; refuses a lam whose exp(-lam) is not a
+    positive float, since the CDF would then never pass u."""
+    p = math.exp(-lam) if math.isfinite(lam) else 0.0
+    if p == 0.0:
+        raise DomainError(f"Poisson mean {lam} is not finite or exp(-mean) "
+                          "underflows")
     u = rng.random()
     k = 0
-    p = math.exp(-lam)
     cdf = p
     while u > cdf:
         k += 1

@@ -13,7 +13,7 @@ from mpmath import mp
 from tightwp import boltzmann, moments, ring, tightpoly
 from tightwp.boltzmann import LogValue
 from tightwp.errors import CancellationWarning, DomainError, TailMassError
-from tightwp.ring import Rational, TightPoly
+from tightwp.ring import TightPoly
 
 PREC = 113
 
@@ -85,7 +85,7 @@ class TestTVolume:
             exact = moments.volume_extract(g, n, 0)[0].eval(PREC)
             assert abs(v / exact - 1) < mpmath.mpf(2) ** -90
 
-    def test_warns_exactly_when_eval_full_flags_cancellation(
+    def test_warns_exactly_when_ell_groups_flag_cancellation(
             self, monkeypatch):
         # at mu_c/2 the terms of P_{2,0} have mixed signs (m_2 > 0), and
         # their absolute sum is about 2.5 times the value

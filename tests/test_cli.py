@@ -85,6 +85,11 @@ class TestMoments:
         code, _, err = run(capsys, "moments", "--mu", "0.9")
         assert code == 2
 
+    def test_order_zero_is_refused_by_public_name(self, capsys):
+        code, _, err = run(capsys, "moments", "--mu", "0", "--order", "0")
+        assert code == 2
+        assert "r_series needs order >= 1" in err
+
 
 class TestCusps:
     def test_target_mode_reports_seed_estimate(self, capsys):

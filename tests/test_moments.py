@@ -1,5 +1,6 @@
 """Bessel kernel, critical constants, moment solver and exact series."""
 
+import functools
 import math
 
 import mpmath
@@ -8,7 +9,8 @@ from mpmath import mp
 
 from tightwp import moments
 from tightwp.errors import DomainError
-from tightwp.ring import PiPoly, Rational, TightPoly, pi_squared
+from tightwp import tightpoly
+from tightwp.ring import MuSeries, PiPoly, Rational, TightPoly, pi_squared
 
 PREC = 113
 
@@ -309,6 +311,90 @@ class TestMomentSeries:
             errs = [abs(moments.moment_series(0, order).eval(mu, PREC) - ref)
                     for order in (4, 8, 12, 16)]
             assert all(e2 < e1 / 4 for e1, e2 in zip(errs, errs[1:]))
+
+
+# -- reference construction ---------------------------------------------------
+# The O(p^3) construction the recurrences replaced, kept as an oracle: R by
+# Lagrange inversion of mu = sum (-2 pi^2)^m r^(m+1) / (m! (m+1)!), M_k by
+# composing sum (-2 pi^2)^(m+k) r^m / (m! (m+k)!) with the powers of R, and
+# T_{g,n}(0, mu) through the reciprocal of M_0.  pi^2 is scaled out of the
+# rational lists and put back by _graded.
+
+
+def _graded(cs, shift):
+    """The MuSeries with [mu^j] = cs[j] * pi^(2 (j + shift))."""
+    return MuSeries([PiPoly.term(c, j + shift) if c else 0
+                     for j, c in enumerate(cs)])
+
+
+def _rationals(s):
+    """The rational parts of a graded series's coefficients."""
+    return [dict(c.items()).popitem()[1] if c else Rational(0)
+            for c in s.coeffs()]
+
+
+def _reciprocal(cs):
+    """1 / sum cs[j] x^j to the same length, cs[0] != 0."""
+    w = [1 / cs[0]]
+    for s in range(1, len(cs)):
+        w.append(-sum((cs[t] * w[s - t] for t in range(1, s + 1)),
+                      Rational(0)) / cs[0])
+    return w
+
+
+@functools.cache
+def _reference(order: int, k_max: int):
+    """(R, [M_0, ..., M_k_max]) of the given order, by Lagrange inversion
+    and composition."""
+    # [mu^j] R = (1/j) [r^(j-1)] h^j with h = r / F(r)
+    h = _graded(_reciprocal([Rational((-2) ** m, math.factorial(m)
+                                       * math.factorial(m + 1))
+                             for m in range(order)]), 0)
+    rho, h_pow = [Rational(0)], h
+    for j in range(1, order + 1):
+        rho.append(_rationals(h_pow)[j - 1] / j)
+        h_pow = h_pow * h
+    r = _graded(rho, -1)
+    pows = [MuSeries([1], order=order)]
+    for _ in range(order):
+        pows.append(pows[-1] * r)
+    m_k = []
+    for k in range(k_max + 1):
+        out = MuSeries.zero(order)
+        for m in range(order + 1):
+            q = Rational((-2) ** (m + k),
+                         math.factorial(m) * math.factorial(m + k))
+            out = out + pows[m] * PiPoly.term(q, m + k)
+        m_k.append(out)
+    return r, m_k
+
+
+def _reference_t_volume(g, n, order):
+    cell = tightpoly.p_gn(g, n)
+    _r, m_k = _reference(50, cell.d)
+    m_k = [m.truncate(order) for m in m_k]
+    m0inv = _graded(_reciprocal(_rationals(m_k[0])), 0)
+    ratios = [m * m0inv for m in m_k[1:]]
+    zero = (0,) * n
+    got = cell.poly.subst_m(ratios, lambda q: MuSeries([q], order=order),
+                            ell=zero)
+    return got[zero] * m0inv ** (2 * g - 2 + n)
+
+
+class TestAgainstReferenceConstruction:
+    def test_r_and_moments_at_every_order(self):
+        ref_r, ref_m = _reference(60, 6)
+        for order in range(1, 61):
+            assert moments.r_series(order) == ref_r.truncate(order)
+            for k, ref in enumerate(ref_m):
+                assert moments.moment_series(k, order) == \
+                    ref.truncate(order)
+
+    @pytest.mark.parametrize("g, n, order",
+                             [(2, 0, 50), (3, 0, 35), (4, 0, 30), (2, 2, 20)])
+    def test_t_volume_series(self, g, n, order):
+        assert moments.t_volume_series(g, n, order) == \
+            _reference_t_volume(g, n, order)
 
 
 class TestVolumeExtraction:

@@ -2,7 +2,10 @@
 the seeded samplers."""
 
 import math
+import os
 import statistics
+import subprocess
+import sys
 
 import mpmath
 import pytest
@@ -50,6 +53,18 @@ class TestIntensity:
             fast = spectrum._intensity_f(t)
             slow = float(spectrum.intensity(0, t, 60))
             assert abs(fast / slow - 1) < 1e-13
+        # the divisor table gives the per-call loop's floats bit for bit
+        for t in [0.0, 1e-200, 1e-3] + [j / 7 for j in range(70)]:
+            total, p, fact, k = 0.0, 1.0, 1.0, 0
+            while True:
+                k += 1
+                p *= t * t
+                fact *= (2 * k - 1) * (2 * k)
+                term = p / (2 * k * fact)
+                total += term
+                if term < 1e-18 * total + 5e-324:
+                    break
+            assert spectrum._intensity_f(t) == total
 
 
 class TestSystole:
@@ -213,6 +228,20 @@ class TestSamplers:
     def test_poisson_domain(self):
         with pytest.raises(DomainError):
             spectrum.sample_poisson_process(0.0, 1)
+
+    @pytest.mark.parametrize("t_max", ["10", "100"])
+    def test_poisson_refuses_large_t_max_at_once(self, t_max):
+        # lambda_{0,10} = 1243 makes exp(-lambda) underflow, and at t = 100
+        # the float intensity overflows; both are refused before any draw.
+        # The CLI runs in a child process so that a hang fails the test.
+        src = os.path.dirname(os.path.dirname(spectrum.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from tightwp import cli; sys.exit(cli.main("
+                f"['sample', '--kind', 'poisson', '--t-max', '{t_max}']))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2
+        assert "underflows" in done.stderr
 
     @staticmethod
     def _bisection_sample(t_max, seed):
