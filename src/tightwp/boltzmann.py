@@ -121,7 +121,8 @@ def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     of P_{g,n} at its m_k = M_k/M_0.
 
     Kept on the cell (``PolyCell.groups``) under (frame.mu, prec), where
-    frame.mu is the exact mpf ``cached_frame`` keys on.
+    frame.mu is the exact mpf ``cached_frame`` keys on; each new mu reads
+    the coefficients the cell holds as mpf at prec (``mpf_coeffs``).
     """
     cell = p_gn(g, n, cache=cache)
     frame = cached_frame(mu, cell.d, prec)
@@ -129,7 +130,7 @@ def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     groups = cell.groups.get(key)
     if groups is None:
         groups = cell.groups[key] = cell.poly.ell_groups(
-            frame.m_ratios()[:cell.d], prec)
+            frame.m_ratios()[:cell.d], cell.mpf_coeffs(prec), prec)
     return frame, groups
 
 

@@ -267,13 +267,20 @@ def intersection_number(key, indices=None) -> Rational:
 
     Accepts a TauKey or (genus, indices).  Returns 0 whenever the
     dimension constraint sum d_i = 3g - 3 + n fails; raises on unstable
-    or malformed keys.
+    or malformed keys.  A key already returned is served from _values
+    before any TauKey is built: only validated keys enter it.
     """
-    if not isinstance(key, TauKey):
-        key = TauKey.make(key, indices)
+    if isinstance(key, TauKey):
+        k = (key.genus, key.indices)
+    else:
+        k = (key, tuple(sorted(indices, reverse=True)))
+        val = _values.get(k)
+        if val is not None:
+            return val
+        key = TauKey.make(*k)
+        k = (key.genus, key.indices)
     if sum(key.indices) != key.dimension:
         return _R0
-    k = (key.genus, key.indices)
     val = _values.get(k)
     if val is None:
         x = _memo.get(k)

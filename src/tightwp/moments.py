@@ -373,8 +373,9 @@ def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
     m0inv = r.derivative().truncate(order)
     ratios = [m.truncate(order) for m in _ratios(m0, cell.d)]
     zero = (0,) * n
-    got = cell.poly.subst_m(ratios, lambda q: MuSeries([q], order=order),
-                            ell=zero)
+    part = cell.poly.ell_slice(zero)
+    got = part.subst_m(ratios, [MuSeries([q], order=order)
+                                for q in part.terms.values()])
     total = got.get(zero, MuSeries.zero(order))
     return total * m0inv ** (2 * g - 2 + n)
 

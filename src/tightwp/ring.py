@@ -16,11 +16,17 @@ threads:
                       variables m_1..m_D, with Rational coefficients.
                       ``subst_m`` is the one routine that puts values
                       (PiPoly, MuSeries or mpf) in for the m_k, grouped
-                      by ell-exponent.  A numeric evaluation is two
-                      steps: ``ell_groups`` puts mpf values in for the
-                      m_k once (two ``subst_m`` passes, signed and
-                      absolute), and ``eval_ell_groups`` sums the groups
-                      at the ell-values and tracks cancellation.
+                      by ell-exponent; it takes the coefficients already
+                      lifted into the values' type, aligned with
+                      ``terms``.  A numeric evaluation is two steps:
+                      ``ell_groups`` puts mpf values in for the m_k once
+                      (a signed ``subst_m`` pass and one over absolute
+                      values), and ``eval_ell_groups`` sums the groups at
+                      the ell-values and tracks cancellation.  The mpf
+                      lift (``mpf_list``) is formed once per cell and
+                      precision and held by the caller
+                      (``tightpoly.PolyCell.mpf_coeffs``), so no pass
+                      converts a coefficient again.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
@@ -32,6 +38,7 @@ work lives in :mod:`tightwp.boltzmann`.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
@@ -60,12 +67,17 @@ def rat_from_str(s: str) -> Rational:
     return Rational(s)
 
 
+def mpf_list(qs: Iterable, prec: int = DEFAULT_PREC) -> list:
+    """Rationals (or ints) as mpf at the given precision, numerator over
+    denominator, formed in one precision context."""
+    mpf = mpmath.mpf
+    with mp.workprec(prec):
+        return [mpf(int(q.numerator)) / mpf(int(q.denominator)) for q in qs]
+
+
 def to_mpf(q, prec: int = DEFAULT_PREC):
     """Convert a Rational (or int) to an mpf at the given precision."""
-    with mp.workprec(prec):
-        if isinstance(q, int):
-            return mpmath.mpf(q)
-        return mpmath.mpf(int(q.numerator)) / mpmath.mpf(int(q.denominator))
+    return mpf_list((q,), prec)[0]
 
 
 def pi_squared(prec: int = DEFAULT_PREC):
@@ -499,8 +511,8 @@ class TightPoly:
     def grade(self, key: tuple) -> int:
         """Graded degree: sum q_i + sum k * e_k."""
         n = self.n_ell
-        return sum(key[:n]) + sum((j + 1) * e
-                                  for j, e in enumerate(key[n:]))
+        return sum(key[:n]) + sum(map(operator.mul, key[n:],
+                                      range(1, self.n_m + 1)))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -613,28 +625,30 @@ class TightPoly:
 
     # -- evaluation -------------------------------------------------------
 
-    def subst_m(self, m_values: Sequence, lift,
-                ell: tuple | None = None) -> dict:
+    def ell_slice(self, ell: tuple) -> "TightPoly":
+        """The terms whose ell-block is ``ell``, in the same shape."""
+        n = self.n_ell
+        return TightPoly._raw(n, self.n_m, {k: q for k, q in self.terms.items()
+                                            if k[:n] == ell})
+
+    def subst_m(self, m_values: Sequence, coeffs: Iterable) -> dict:
         """Put values in for every m_k, keeping ell symbolic.
 
-        Returns {ell-exponent tuple: sum of lift(q) prod m_k^e_k} over the
-        terms, restricted to the one ell-block ``ell`` when it is given.
-        m_values[k-1] replaces m_k; ``lift`` turns a Rational coefficient
-        into the values' type (PiPoly.const, an mpf at the caller's
-        precision, a constant MuSeries).  Each term multiplies the powers
-        into lift(q) in variable order, each power formed once by
-        repeated multiplication.
+        Returns {ell-exponent tuple: sum of c prod m_k^e_k} over the
+        terms.  m_values[k-1] replaces m_k; ``coeffs`` holds the
+        coefficients already lifted into the values' type (PiPoly, an mpf
+        at the caller's precision, a constant MuSeries), one per term in
+        the order of ``terms``.  Each term multiplies the powers into its
+        c in variable order, each power formed once by repeated
+        multiplication.
         """
         if len(m_values) != self.n_m:
             raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
         pows = [[None, v] for v in m_values]
         out: dict = {}
         n = self.n_ell
-        for key, q in self.terms.items():
+        for key, acc in zip(self.terms, coeffs, strict=True):
             ell_key = key[:n]
-            if ell is not None and ell_key != ell:
-                continue
-            acc = lift(q)
             for k, e in enumerate(key[n:]):
                 if e:
                     acc = acc * _power(pows[k], e)
@@ -642,22 +656,25 @@ class TightPoly:
             out[ell_key] = acc if cur is None else cur + acc
         return out
 
-    def ell_groups(self, m_values, prec: int = DEFAULT_PREC) -> dict:
+    def ell_groups(self, m_values, coeffs: Sequence,
+                   prec: int = DEFAULT_PREC) -> dict:
         """The m_k put in numerically, grouped by ell-exponent.
 
-        Returns {ell-key: (G, A)} with G = sum q prod m_k^e_k and
-        A = sum |q| prod |m_k|^e_k over the key's terms, as mpf at prec,
-        from two ``subst_m`` passes.  ``eval_ell_groups`` finishes the
-        evaluation at any ell-values, so a caller that reads one m-vector
-        at many lengths substitutes it once.
+        ``coeffs`` is ``mpf_list(self.terms.values(), prec)``, which the
+        caller holds.  Returns {ell-key: (G, A)} with G = sum q prod
+        m_k^e_k and A = sum |q| prod |m_k|^e_k over the key's terms, as
+        mpf at prec, from a signed ``subst_m`` pass and one over absolute
+        values (taken at prec, so |lift(q)| is lift(|q|)).
+        ``eval_ell_groups`` finishes the evaluation at any ell-values, so
+        a caller that reads one m-vector at many lengths substitutes it
+        once.
         """
         if prec < 53:
             raise DomainError("precision must be at least 53 bits")
         with mp.workprec(prec):
             m = [mpmath.mpf(v) for v in m_values]
-            signed = self.subst_m(m, lambda q: to_mpf(q, prec))
-            unsigned = self.subst_m([abs(v) for v in m],
-                                    lambda q: to_mpf(abs(q), prec))
+            signed = self.subst_m(m, coeffs)
+            unsigned = self.subst_m([abs(v) for v in m], map(abs, coeffs))
         return {k: (v, unsigned[k]) for k, v in signed.items()}
 
     # -- canonical order and serialization ---------------------------------
@@ -680,14 +697,42 @@ class TightPoly:
 
     @classmethod
     def from_obj(cls, n_ell: int, n_m: int, obj) -> "TightPoly":
-        terms = {}
+        """Inverse of ``to_obj``, in one pass over the rows.
+
+        Raises ShapeError on a key of the wrong width, an exponent that is
+        not a non-negative int, or a repeated key, and ValueError on a
+        coefficient that is not 'num/den' with ints num != 0 and den > 0.
+        Equal coefficient strings share one Rational.
+        """
+        terms, parsed = {}, {}
         for ell, m, s in obj:
-            terms[tuple(ell) + tuple(m)] = rat_from_str(s)
-        return cls(n_ell, n_m, terms)
+            key = (*ell, *m)
+            if len(ell) != n_ell or len(m) != n_m or key and (
+                    set(map(type, key)) != {int} or min(key) < 0):
+                raise ShapeError(f"bad exponent key {ell}, {m} for shape "
+                                 f"({n_ell},{n_m})")
+            q = parsed.get(s)
+            if q is None:
+                q = parsed[s] = _parse_coeff(s)
+            terms[key] = q
+        if len(terms) != len(obj):
+            raise ShapeError("repeated exponent key")
+        return cls._raw(n_ell, n_m, terms)
 
     def __repr__(self):
         return (f"TightPoly(n_ell={self.n_ell}, n_m={self.n_m}, "
                 f"terms={len(self.terms)})")
+
+
+def _parse_coeff(s) -> Rational:
+    """A nonzero Rational from its canonical 'num/den' form."""
+    if type(s) is not str or s.count("/") != 1:
+        raise ValueError(f"coefficient {s!r} is not 'num/den'")
+    num, den = map(int, s.split("/"))
+    if not num or den <= 0:
+        raise ValueError(f"coefficient {s!r} is zero or has a denominator "
+                         f"<= 0")
+    return Rational(num, den)
 
 
 def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):

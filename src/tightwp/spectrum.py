@@ -24,7 +24,7 @@ from tightwp.boltzmann import cusp_pmf, t_volume
 from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
-from tightwp.ring import DEFAULT_PREC, to_mpf
+from tightwp.ring import DEFAULT_PREC
 from tightwp.tightpoly import admissible, p_gn
 
 
@@ -215,7 +215,8 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     curve contributes two equal boundary entries and c(mu) is the first
     output of ``normalization``.  The integrand is polynomial in the
     x_i^2: ``TightPoly.subst_m`` reads P_{g-r,2r} at the moment values
-    grouped by ell-key, and the group with key l is weighted by
+    grouped by ell-key, from the coefficients the cell holds as mpf
+    (``PolyCell.mpf_coeffs``), and the group with key l is weighted by
     prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
     T_g(mu) is ``boltzmann.t_volume`` at (g, 0).
     """
@@ -233,8 +234,7 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
-        groups = cell.poly.subst_m(frame.m_ratios(),
-                                   lambda q: to_mpf(q, prec))
+        groups = cell.poly.subst_m(frame.m_ratios(), cell.mpf_coeffs(prec))
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
         max_q = max((sum(key) for key in groups), default=0)
         w_table = []

@@ -28,10 +28,10 @@ import mpmath
 from mpmath import mp
 
 from tightwp import cache as twpcache
-from tightwp.errors import BudgetError, CacheError, DomainError
+from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
 from tightwp.intersection import (intersection_number, load_tau, save_tau,
                                    tau2_correlator)
-from tightwp.ring import Rational, TightPoly, to_mpf
+from tightwp.ring import Rational, TightPoly, mpf_list, to_mpf
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -52,11 +52,13 @@ def admissible(g: int, n: int) -> bool:
 class PolyCell:
     """A built polynomial P_{g,n} with its shape metadata.
 
-    ``groups`` and ``volumes`` hold values derived from ``poly`` and are
-    filled by their readers: ``boltzmann.cell_groups`` keeps the ell-groups
-    per (exact mu, prec), ``moments.volume_extract`` the exact volumes.
-    They live and die with the cell, so a cleared or replaced cell never
-    serves them.
+    ``groups``, ``lifts`` and ``volumes`` hold values derived from
+    ``poly`` and are filled by their readers: ``boltzmann.cell_groups``
+    keeps the ell-groups per (exact mu, prec), ``mpf_coeffs`` the
+    coefficients as mpf per prec (one list aligned with ``poly.terms``,
+    which every numeric ``subst_m`` pass on the cell reads),
+    ``moments.volume_extract`` the exact volumes.  They live and die with
+    the cell, so a cleared or replaced cell never serves them.
     """
 
     genus: int
@@ -64,6 +66,8 @@ class PolyCell:
     poly: TightPoly
     groups: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+    lifts: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
     volumes: list = field(default_factory=list, init=False, repr=False,
                           compare=False)
 
@@ -71,6 +75,13 @@ class PolyCell:
     def d(self) -> int:
         """Top moment index D = 3g - 3 + n (also the graded degree)."""
         return 3 * self.genus - 3 + self.boundaries
+
+    def mpf_coeffs(self, prec: int) -> list:
+        """``ring.mpf_list`` of the coefficients at prec, formed once."""
+        out = self.lifts.get(prec)
+        if out is None:
+            out = self.lifts[prec] = mpf_list(self.poly.terms.values(), prec)
+        return out
 
 
 def normalize_pvec(pvec: Sequence[int]) -> tuple:
@@ -206,7 +217,10 @@ def validate_cell_report(cell: PolyCell) -> list:
         # a swap is an involution, so compare each term with its image
         for key, q in terms.items():
             a, b = key[i - 1], key[i]
-            if a != b and terms.get(key[:i - 1] + (b, a) + key[i + 1:]) != q:
+            if a == b:
+                continue
+            r = terms.get(key[:i - 1] + (b, a) + key[i + 1:])
+            if r is not q and r != q:
                 problems.append(f"not symmetric under swapping boundaries "
                                 f"{i} and {i + 1}")
                 break
@@ -284,7 +298,8 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
     prec = frame.precision
     m_vals = frame.m_ratios()[:cell.d]
     with mp.workprec(prec):
-        got = poly.subst_m(m_vals, lambda q: to_mpf(q, prec), ell=qvec)
+        part = poly.ell_slice(qvec)
+        got = part.subst_m(m_vals, mpf_list(part.terms.values(), prec))
         total = got.get(qvec, mpmath.mpf(0))
         scale = (-m_vals[0] / 3) ** sum(qvec)
         return +(total * scale)
@@ -308,14 +323,22 @@ class PolyCache:
                   [cell.genus, cell.boundaries, cell.d], write_obj)
 
     def load(self, g: int, n: int) -> PolyCell | None:
-        got = twpcache.read_twp(self._cell_path(g, n), "poly")
+        path = self._cell_path(g, n)
+        got = twpcache.read_twp(path, "poly")
         if got is None:
             return None
         meta, obj = got
-        if [int(x) for x in meta[:3]] != [g, n, 3 * g - 3 + n]:
-            raise CacheError(
-                f"cell file for ({g},{n}) carries metadata {meta}")
-        poly = TightPoly.from_obj(n, 3 * g - 3 + n, obj)
+        try:
+            if [int(x) for x in meta[:3]] != [g, n, 3 * g - 3 + n]:
+                raise ValueError(f"metadata {meta}")
+            poly = TightPoly.from_obj(n, 3 * g - 3 + n, obj)
+        except (ShapeError, TypeError, ValueError) as exc:
+            raise CacheError(f"{path}: bad cell for ({g},{n}) ({exc})") \
+                from exc
+        # every cell is dense (see _closed_form)
+        if len(poly) != term_count(g, n):
+            raise CacheError(f"{path}: P_{{{g},{n}}} has {len(poly)} terms, "
+                             f"expected {term_count(g, n)}")
         return PolyCell(genus=g, boundaries=n, poly=poly)
 
     # tau memo segment ------------------------------------------------

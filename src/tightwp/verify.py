@@ -124,14 +124,16 @@ def criterion_classical_volumes(cache=None) -> CriterionResult:
     """T_{1,1}(L,0) and T_{1,2}(L,0) as exact PiPoly identities."""
     checks = []
     c11 = tightpoly.p_gn(1, 1, cache=cache)
-    got = c11.poly.subst_m(_mu0_m_values(c11.d), PiPoly.const)
+    got = c11.poly.subst_m(_mu0_m_values(c11.d),
+                           map(PiPoly.const, c11.poly.terms.values()))
     expect = {(1,): PiPoly.const(Rational(1, 48)),
               (0,): PiPoly.term(Rational(1, 12), 1)}
     checks.append(Check("T_{1,1}(L,0) = (L^2 + 4 pi^2)/48", got == expect,
                         repr({k: v.to_obj() for k, v in got.items()}),
                         "exact"))
     c12 = tightpoly.p_gn(1, 2, cache=cache)
-    got12 = c12.poly.subst_m(_mu0_m_values(c12.d), PiPoly.const)
+    got12 = c12.poly.subst_m(_mu0_m_values(c12.d),
+                             map(PiPoly.const, c12.poly.terms.values()))
     q = Rational(1, 192)
     expect12 = {
         (2, 0): PiPoly.const(q),

@@ -10,7 +10,7 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from tightwp import boltzmann, moments, ring, tightpoly
+from tightwp import boltzmann, moments, ring, spectrum, tightpoly
 from tightwp.boltzmann import LogValue
 from tightwp.errors import CancellationWarning, DomainError, TailMassError
 from tightwp.ring import TightPoly
@@ -154,7 +154,8 @@ class TestEllGroups:
                     want, want_abs = _per_term_eval(cell.poly, ells, m_vals,
                                                     PREC)
                     value, abs_sum, _ = ring.eval_ell_groups(
-                        cell.poly.ell_groups(m_vals, PREC), ells, PREC)
+                        cell.poly.ell_groups(m_vals, cell.mpf_coeffs(PREC),
+                                             PREC), ells, PREC)
                     assert _rel(value, want) < tol
                     assert _rel(abs_sum, want_abs) < tol
                     t = boltzmann.t_volume(g, n, L, mu, PREC)
@@ -210,6 +211,52 @@ class TestEllGroups:
         tightpoly.clear_memory_cache()
         gc.collect()
         assert ref() is None
+
+    def test_new_mu_lifts_no_coefficient(self, monkeypatch):
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        lifted = []
+        mpf_list = tightpoly.mpf_list
+
+        def counting(qs, prec):
+            lifted.append(prec)
+            return mpf_list(qs, prec)
+
+        def refuse(*args):
+            raise AssertionError("a coefficient was converted per pass")
+
+        monkeypatch.setattr(tightpoly, "mpf_list", counting)
+        monkeypatch.setattr(ring, "to_mpf", refuse)
+        muc = moments.mu_critical(PREC)
+        boltzmann.cell_groups(2, 2, muc / 2, PREC)
+        assert lifted == [PREC]
+        boltzmann.cell_groups(2, 2, muc / 3, PREC)
+        spectrum.expected_nonseparating_count(
+            3, muc / 4, spectrum.IntervalSet.make([(0.5, 1.5)]), PREC)
+        assert len(tightpoly.p_gn(2, 2).groups) == 2
+        assert lifted == [PREC, PREC]  # the second is P_{3,0} for T_3
+        boltzmann.cell_groups(2, 2, muc / 3, 80)
+        assert lifted == [PREC, PREC, 80]
+
+    def test_lifts_die_with_their_cell(self, monkeypatch):
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        held = []
+        mpf_list = tightpoly.mpf_list
+
+        class Lifts(list):
+            """A list that takes a weak reference."""
+
+        def tracked(qs, prec):
+            out = Lifts(mpf_list(qs, prec))
+            held.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(tightpoly, "mpf_list", tracked)
+        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC)
+        assert len(held) == 1
+        assert tightpoly.p_gn(2, 1).lifts[PREC] is held[0]()
+        tightpoly.clear_memory_cache()
+        gc.collect()
+        assert held[0]() is None
 
     def test_ten_lengths_substitute_once(self, monkeypatch):
         monkeypatch.setattr(tightpoly, "_cells", {})
@@ -367,8 +414,9 @@ def test_crude_bound_ratio_stays_bounded():
             fr = moments.cached_frame(muc - mpmath.mpf(10) ** -e, cell.d,
                                       PREC)
             val, _, _ = ring.eval_ell_groups(
-                cell.poly.ell_groups(fr.m_ratios()[:cell.d], PREC), [1.0],
-                PREC)
+                cell.poly.ell_groups(fr.m_ratios()[:cell.d],
+                                     cell.mpf_coeffs(PREC), PREC),
+                [1.0], PREC)
             scale = (-fr.moments[1] / fr.moments[0]) ** cell.d
             ratios.append(abs(float(val / scale)))
     assert all(math.isfinite(r) for r in ratios)

@@ -223,6 +223,30 @@ class TestCacheBehaviour:
         assert code == 4
         assert "cache" in err
 
+    @pytest.mark.parametrize("tamper", [
+        lambda rows: rows[1:],
+        lambda rows: [rows[0][:2] + ["oops"]] + rows[1:],
+    ], ids=["dropped-row", "unparsable-coefficient"])
+    def test_checksum_valid_bad_cell_exits_four(self, capsys, tmp_path,
+                                                monkeypatch, tamper):
+        from tightwp import cache, intersection, tightpoly
+
+        # an empty tau memo keeps the tau segment each run writes small
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
+        cache_dir = tmp_path / "c"
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        run(capsys, "--cache-dir", str(cache_dir), "poly", "-g", "1",
+            "-n", "2")
+        path = cache_dir / "poly" / "g1_n2.twp"
+        meta, rows = cache.read_twp(path, "poly")
+        cache.write_twp(path, "poly", meta, tamper(rows))
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        code, _, err = run(capsys, "--cache-dir", str(cache_dir), "poly",
+                           "-g", "1", "-n", "2")
+        assert code == 4
+        assert "cache" in err
+
     def test_wrong_tau_value_exits_four(self, capsys, tmp_path):
         from tightwp import cache
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightwp import verify
+from tightwp import intersection, verify
 from tightwp.errors import DomainError, UnstableKeyError
 from tightwp.intersection import (TauKey, check_comparison_bound, dfact,
                                   dilaton_identity_holds, intersection_number,
@@ -162,6 +162,63 @@ def test_order_independence():
     b = intersection_number(3, (3, 5))
     assert a == b
     assert TauKey.make(3, (3, 5)).indices == (5, 3)
+
+
+class TestMemoFastPath:
+    """intersection_number serves a key it returned before from _values,
+    under the sorted indices, without building a TauKey."""
+
+    def test_permuted_key_and_generator_return_the_hit(self):
+        hit = intersection_number(2, (4, 2, 0))
+        assert intersection_number(2, (0, 4, 2)) is hit
+        assert intersection_number(2, (d for d in (2, 0, 4))) is hit
+        assert intersection_number(TauKey.make(2, (2, 4, 0))) is hit
+
+    def test_warm_hit_builds_no_key(self, monkeypatch):
+        hit = intersection_number(3, (5, 3))
+
+        def refuse(*args):
+            raise AssertionError("TauKey.make called on a warm hit")
+
+        monkeypatch.setattr(TauKey, "make", refuse)
+        assert intersection_number(3, (3, 5)) is hit
+        assert intersection_number(3, iter((5, 3))) is hit
+
+    def test_bad_keys_raise_with_a_valid_permutation_held(self):
+        intersection_number(2, (4, 2, 0))
+        intersection_number(0, (0, 0, 0))
+        with pytest.raises(DomainError):
+            intersection_number(-1, (0, 4, 2))
+        with pytest.raises(DomainError):
+            intersection_number(2, (4, 3, -1))
+        with pytest.raises(UnstableKeyError):
+            intersection_number(0, (0, 0))
+
+    def test_dimension_failure_is_never_stored(self):
+        assert intersection_number(2, (1, 0)) == 0
+        assert intersection_number(2, (0, 1)) == 0
+        assert (2, (1, 0)) not in intersection._values
+        assert (2, (1, 0)) not in intersection._memo
+
+    def test_clear_cache_empties_what_the_fast_path_reads(self,
+                                                          monkeypatch):
+        # clear copies, so that later tests keep the warm memo
+        for name in ("_memo", "_values"):
+            monkeypatch.setattr(intersection, name,
+                                dict(getattr(intersection, name)))
+        hit = intersection_number(2, (3, 2))
+        intersection.clear_cache()
+        assert not intersection._values
+        solved = []
+        solve = intersection._solve
+
+        def counting(key):
+            solved.append(key)
+            return solve(key)
+
+        monkeypatch.setattr(intersection, "_solve", counting)
+        assert intersection_number(2, (2, 3)) == hit
+        assert solved == [(2, (3, 2))]
 
 
 def test_genus_zero_closed_form():

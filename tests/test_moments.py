@@ -376,8 +376,9 @@ def _reference_t_volume(g, n, order):
     m0inv = _graded(_reciprocal(_rationals(m_k[0])), 0)
     ratios = [m * m0inv for m in m_k[1:]]
     zero = (0,) * n
-    got = cell.poly.subst_m(ratios, lambda q: MuSeries([q], order=order),
-                            ell=zero)
+    part = cell.poly.ell_slice(zero)
+    got = part.subst_m(ratios, [MuSeries([q], order=order)
+                                for q in part.terms.values()])
     return got[zero] * m0inv ** (2 * g - 2 + n)
 
 
@@ -453,7 +454,8 @@ class TestVolumeExtraction:
             (3,): PiPoly.term(Rational(16 * 5 + 384) / den, 1),
             (4,): PiPoly.const(Rational(5) / den),
         }
-        assert cell.poly.subst_m(m_vals, PiPoly.const) == expect
+        assert cell.poly.subst_m(
+            m_vals, map(PiPoly.const, cell.poly.terms.values())) == expect
 
     def test_generating_function_positive_coefficients(self):
         s = moments.t_volume_series(2, 0, 40)

@@ -12,8 +12,8 @@ from mpmath import mp
 from tightwp import moments
 from tightwp.errors import DomainError, ShapeError
 from tightwp.ring import (MuSeries, PiPoly, Rational, TightPoly,
-                          eval_ell_groups, pi_squared, rat_from_str,
-                          rat_to_str, to_mpf)
+                          eval_ell_groups, mpf_list, pi_squared,
+                          rat_from_str, rat_to_str, to_mpf)
 
 
 def test_rational_is_canonical():
@@ -154,7 +154,9 @@ class TestSeriesInvertZ:
 
 def _eval(p, ell_values, m_values, prec=113):
     """(value, abs_sum, cancelled) of p through its ell-groups."""
-    return eval_ell_groups(p.ell_groups(m_values, prec), ell_values, prec)
+    coeffs = mpf_list(p.terms.values(), prec)
+    return eval_ell_groups(p.ell_groups(m_values, coeffs, prec), ell_values,
+                           prec)
 
 
 def _p11():

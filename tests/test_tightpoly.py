@@ -153,21 +153,25 @@ class TestSubstM:
         """P_{1,2} at mu = 0 read through every lift the package uses."""
         poly = tightpoly.p_gn(1, 2).poly
         m_vals = verify._mu0_m_values(poly.n_m)
-        full = poly.subst_m(m_vals, PiPoly.const)
+        qs = list(poly.terms.values())
+        full = poly.subst_m(m_vals, map(PiPoly.const, qs))
         series = poly.subst_m([MuSeries([v], order=0) for v in m_vals],
-                              lambda q: MuSeries([q], order=0))
+                              [MuSeries([q], order=0) for q in qs])
         assert series.keys() == full.keys()
         for k, v in full.items():
             assert series[k].coeff(0) == v
         with mp.workprec(PREC):
             numeric = poly.subst_m([v.eval(PREC) for v in m_vals],
-                                   lambda q: to_mpf(q, PREC))
+                                   [to_mpf(q, PREC) for q in qs])
             assert numeric.keys() == full.keys()
             for k, v in full.items():
                 assert abs(numeric[k] / v.eval(PREC) - 1) < \
                     mpmath.mpf(2) ** -100
         for k in full:
-            assert poly.subst_m(m_vals, PiPoly.const, ell=k) == {k: full[k]}
+            part = poly.ell_slice(k)
+            assert part.subst_m(m_vals, map(PiPoly.const,
+                                            part.terms.values())) == \
+                {k: full[k]}
 
 
 class TestDiagnostics:
@@ -180,7 +184,8 @@ class TestDiagnostics:
         fr = moments.cached_frame(self.frame3.mu, cell.d, PREC)
         a = tightpoly.alpha_deriv(2, 0, (), fr)
         direct, _, _ = eval_ell_groups(
-            cell.poly.ell_groups(fr.m_ratios()[:cell.d], PREC), [], PREC)
+            cell.poly.ell_groups(fr.m_ratios()[:cell.d],
+                                 cell.mpf_coeffs(PREC), PREC), [], PREC)
         assert a == direct
 
     def test_alpha_deriv_reads_ratios_at_frame_precision(self):
@@ -191,7 +196,9 @@ class TestDiagnostics:
         with mp.workprec(PREC):
             m0 = fr.moments[0]
             ratios = [mk / m0 for mk in fr.moments[1:cell.d + 1]]
-            want = cell.poly.subst_m(ratios, lambda q: to_mpf(q, PREC))[()]
+            qs = cell.poly.terms.values()
+            want = cell.poly.subst_m(ratios,
+                                     [to_mpf(q, PREC) for q in qs])[()]
         with mp.workprec(53):
             got = tightpoly.alpha_deriv(2, 0, (), fr)
         assert got == want
@@ -305,6 +312,41 @@ class TestStore:
         path = poly_cache._cell_path(1, 2)
         blob = path.read_bytes().replace(b"TWPCACHE v1", b"TWPCACHE v9", 1)
         path.write_bytes(blob)
+        with pytest.raises(CacheError):
+            poly_cache.load(1, 2)
+
+    def test_loaded_cell_shares_equal_coefficients(self, poly_cache):
+        cell = tightpoly.p_gn(2, 2)
+        poly_cache.store(cell)
+        back = poly_cache.load(2, 2)
+        assert back.poly == cell.poly
+        assert list(back.poly.terms) == list(cell.poly.terms)
+        qs = list(back.poly.terms.values())
+        assert len({id(q) for q in qs}) == len(set(qs)) < len(qs)
+
+    @pytest.mark.parametrize("tamper", [
+        lambda rows: rows[1:],
+        lambda rows: rows + [rows[0]],
+        lambda rows: [[r[0] + [0], r[1], r[2]] for r in rows],
+        lambda rows: [[r[0], r[1][:-1], r[2]] for r in rows],
+        lambda rows: [[[-1], rows[0][1], rows[0][2]]] + rows[1:],
+        lambda rows: [[[1.0], rows[0][1], rows[0][2]]] + rows[1:],
+        lambda rows: [[[True], rows[0][1], rows[0][2]]] + rows[1:],
+        lambda rows: [[rows[0][0], rows[0][1], "oops"]] + rows[1:],
+        lambda rows: [[rows[0][0], rows[0][1], "1/0"]] + rows[1:],
+        lambda rows: [[rows[0][0], rows[0][1], "0/1"]] + rows[1:],
+        lambda rows: [[rows[0][0], rows[0][1], 3]] + rows[1:],
+        lambda rows: [rows[0][:2]] + rows[1:],
+    ], ids=["dropped-row", "duplicate-key", "wide-ell", "narrow-m",
+            "negative-exponent", "float-exponent", "bool-exponent",
+            "unparsable-coefficient", "zero-denominator", "zero-coefficient",
+            "int-coefficient", "short-row"])
+    def test_checksum_valid_bad_cell_is_cache_error(self, poly_cache,
+                                                    tamper):
+        cell = tightpoly.p_gn(1, 2)
+        rows = tamper(cell.poly.to_obj())
+        twpcache.write_twp(poly_cache._cell_path(1, 2), "poly",
+                           [1, 2, cell.d], rows)
         with pytest.raises(CacheError):
             poly_cache.load(1, 2)
 
