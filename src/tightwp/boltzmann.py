@@ -206,12 +206,6 @@ class CuspPmf:
     def __len__(self):
         return len(self.probs)
 
-    def __iter__(self):
-        return iter(self.probs)
-
-    def __getitem__(self, i):
-        return self.probs[i]
-
     def mean(self) -> float:
         return sum(p * w for p, w in enumerate(self.probs))
 

@@ -442,14 +442,19 @@ def main(argv=None) -> int:
         ap.error("--precision must be at least 53 bits")
     if args.budget < 10_000:
         ap.error("--budget must be at least 10^4")
+    if getattr(args, "count", 1) < 1:
+        ap.error("--count must be at least 1")
+    if getattr(args, "mc_samples", 1) < 1:
+        ap.error("--mc-samples must be at least 1")
     cfg = RunConfig(cache_dir=args.cache_dir, precision=args.precision,
                     format=args.format, seed=args.seed, budget=args.budget)
     try:
         cache = cfg.cache
-        if cache is not None:
-            cache.load_tau()
+        # after the load the memo holds every row of the segment, so a run
+        # that added no key leaves the file as it is
+        stored = cache.load_tau() if cache is not None else 0
         rc = args.fn(cfg, args)
-        if cache is not None:
+        if cache is not None and intersection.cache_size() > stored:
             cache.save_tau()
         return rc
     except BudgetError as exc:

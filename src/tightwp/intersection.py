@@ -299,7 +299,8 @@ def save_tau(path) -> int:
 
 
 def load_tau(path) -> int:
-    """Merge a tau segment into the memo; returns its row count.
+    """Merge a tau segment into the memo; returns its count of distinct
+    keys (its row count, for a segment ``save_tau`` wrote).
 
     Raises CacheError, and merges nothing, when a row is malformed,
     unstable or not dimension-correct, when its value times
@@ -331,7 +332,7 @@ def load_tau(path) -> int:
                              f"correlator value")
         loaded[k] = int(x)
     _memo.update(loaded)
-    return len(rows)
+    return len(loaded)
 
 
 def tau2_correlator(g: int, extra: Sequence[int] = ()) -> Rational:

@@ -247,10 +247,6 @@ class MomentFrame:
     def d_max(self) -> int:
         return len(self.moments) - 1
 
-    @property
-    def m0(self):
-        return self.moments[0]
-
     def m_ratios(self) -> tuple:
         """(M_1/M_0, ..., M_D/M_0), the values substituted for m_k, formed
         at the frame's precision whatever the caller's mp.prec."""

@@ -13,7 +13,11 @@ threads:
                       pi^2-degree shift; the arithmetic runs on ints.
 * ``TightPoly``    -- sparse multivariate polynomials in the squared
                       boundary lengths ell_i = L_i^2 and the moment
-                      variables m_1..m_D, with Rational coefficients.
+                      variables m_1..m_D, with Rational coefficients,
+                      held as a {exponent key: coefficient} term map.
+                      There is no polynomial algebra: a cell comes from
+                      the closed form or the disk store, and is read
+                      through ``dm``, ``ell_slice`` and ``subst_m``.
                       ``subst_m`` is the one routine that puts values
                       (PiPoly, MuSeries or mpf) in for the m_k, grouped
                       by ell-exponent; it takes the coefficients already
@@ -55,7 +59,6 @@ DEFAULT_PREC = 113
 CANCEL_THRESHOLD = 1e-6
 
 _R0 = Rational(0)
-_R1 = Rational(1)
 
 
 def rat_to_str(q) -> str:
@@ -84,32 +87,6 @@ def pi_squared(prec: int = DEFAULT_PREC):
     """pi^2 at the given binary precision (deterministic per precision)."""
     with mp.workprec(prec):
         return mp.pi ** 2
-
-
-def _add_terms(a: dict, b: dict) -> dict:
-    """Sum of two {key: coeff} maps, dropping zero results."""
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    out = dict(a)
-    for k, c in b.items():
-        if k in out:
-            s = out[k] + c
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-        else:
-            out[k] = c
-    return out
-
-
-def _scale_terms(a: dict, c) -> dict:
-    """Every coefficient of a {key: coeff} map times c (c may be zero)."""
-    if not c:
-        return {}
-    return {k: v * c for k, v in a.items()}
 
 
 class PiPoly:
@@ -169,24 +146,16 @@ class PiPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return PiPoly._raw(_add_terms(self._c, other._c))
+        out = dict(self._c)
+        for e, q in other._c.items():
+            s = out.get(e, _R0) + q
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return PiPoly._raw(out)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return PiPoly._raw({e: -q for e, q in self._c.items()})
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, PiPoly):
@@ -201,18 +170,12 @@ class PiPoly:
                         out[e] = c
             return PiPoly._raw({e: c for e, c in out.items() if c})
         if isinstance(other, (int, Rational)):
-            return PiPoly._raw(_scale_terms(self._c, Rational(other)))
+            q = Rational(other)
+            return PiPoly._raw({e: c * q for e, c in self._c.items()}
+                               if q else {})
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise DomainError("negative PiPoly power")
-        out = PiPoly.const(1)
-        for _ in range(k):
-            out = out * self
-        return out
 
     @staticmethod
     def _coerce(other):
@@ -246,10 +209,6 @@ class PiPoly:
     def to_obj(self):
         """Canonical serialization: [[exponent, 'num/den'], ...]."""
         return [[e, rat_to_str(q)] for e, q in self.items()]
-
-    @classmethod
-    def from_obj(cls, obj) -> "PiPoly":
-        return cls((int(e), rat_from_str(s)) for e, s in obj)
 
     def __repr__(self):
         if not self._c:
@@ -462,40 +421,7 @@ class TightPoly:
         p.terms = terms
         return p
 
-    @classmethod
-    def zero(cls, n_ell: int, n_m: int) -> "TightPoly":
-        return cls._raw(n_ell, n_m, {})
-
-    @classmethod
-    def const(cls, n_ell: int, n_m: int, q) -> "TightPoly":
-        q = q if isinstance(q, Rational) else Rational(q)
-        if not q:
-            return cls.zero(n_ell, n_m)
-        return cls._raw(n_ell, n_m, {(0,) * (n_ell + n_m): q})
-
-    @classmethod
-    def ell_var(cls, n_ell: int, n_m: int, i: int) -> "TightPoly":
-        """The variable ell_i (1-based)."""
-        if not 1 <= i <= n_ell:
-            raise ShapeError(f"ell index {i} out of range 1..{n_ell}")
-        key = [0] * (n_ell + n_m)
-        key[i - 1] = 1
-        return cls._raw(n_ell, n_m, {tuple(key): _R1})
-
-    @classmethod
-    def m_var(cls, n_ell: int, n_m: int, k: int) -> "TightPoly":
-        """The variable m_k (1-based)."""
-        if not 1 <= k <= n_m:
-            raise ShapeError(f"m index {k} out of range 1..{n_m}")
-        key = [0] * (n_ell + n_m)
-        key[n_ell + k - 1] = 1
-        return cls._raw(n_ell, n_m, {tuple(key): _R1})
-
     # -- bookkeeping ----------------------------------------------------
-
-    @property
-    def shape(self) -> tuple:
-        return (self.n_ell, self.n_m)
 
     @property
     def is_zero(self) -> bool:
@@ -504,66 +430,17 @@ class TightPoly:
     def __len__(self):
         return len(self.terms)
 
-    def _check_shape(self, other: "TightPoly"):
-        if self.shape != other.shape:
-            raise ShapeError(f"shape mismatch {self.shape} vs {other.shape}")
-
     def grade(self, key: tuple) -> int:
         """Graded degree: sum q_i + sum k * e_k."""
         n = self.n_ell
         return sum(key[:n]) + sum(map(operator.mul, key[n:],
                                       range(1, self.n_m + 1)))
 
-    # -- arithmetic ------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, TightPoly):
-            self._check_shape(other)
-            return TightPoly._raw(self.n_ell, self.n_m,
-                                  _add_terms(self.terms, other.terms))
-        if isinstance(other, (int, Rational)):
-            return self + TightPoly.const(self.n_ell, self.n_m, other)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TightPoly._raw(self.n_ell, self.n_m,
-                              {k: -q for k, q in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, TightPoly):
-            self._check_shape(other)
-            return self + (-other)
-        if isinstance(other, (int, Rational)):
-            return self + (-Rational(other))
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, TightPoly):
-            self._check_shape(other)
-            out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    k = tuple(x + y for x, y in zip(ka, kb))
-                    c = ca * cb
-                    if k in out:
-                        out[k] += c
-                    else:
-                        out[k] = c
-            return TightPoly._raw(self.n_ell, self.n_m,
-                                  {k: c for k, c in out.items() if c})
-        if isinstance(other, (int, Rational)):
-            return TightPoly._raw(self.n_ell, self.n_m,
-                                  _scale_terms(self.terms, Rational(other)))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         if not isinstance(other, TightPoly):
             return NotImplemented
-        return self.shape == other.shape and self.terms == other.terms
+        return (self.n_ell, self.n_m, self.terms) == \
+            (other.n_ell, other.n_m, other.terms)
 
     __hash__ = None
 
@@ -585,43 +462,6 @@ class TightPoly:
                 out[kk] = cc
         return TightPoly._raw(self.n_ell, self.n_m,
                               {k: c for k, c in out.items() if c})
-
-    def integrate_ell(self, boundary: int) -> "TightPoly":
-        """Boundary integral int_0^L x p(x...) dx in ell_boundary.
-
-        Exponent q (of ell = L^2) maps to q+1 with the coefficient divided
-        by 2q+2, which is exactly int_0^L x * x^(2q) dx = L^(2q+2)/(2q+2).
-        """
-        if not 1 <= boundary <= self.n_ell:
-            raise ShapeError(f"boundary {boundary} out of range "
-                             f"1..{self.n_ell}")
-        pos = boundary - 1
-        out = {}
-        for k, c in self.terms.items():
-            e = k[pos]
-            out[k[:pos] + (e + 1,) + k[pos + 1:]] = c * Rational(1, 2 * e + 2)
-        return TightPoly._raw(self.n_ell, self.n_m, out)
-
-    def embed(self, n_ell: int, n_m: int,
-              ell_positions: Sequence[int]) -> "TightPoly":
-        """Inject into a larger shape.
-
-        Old boundary i (1-based) becomes new boundary ell_positions[i-1];
-        m variables keep their indices (n_m may only grow).
-        """
-        if n_m < self.n_m or n_ell < self.n_ell:
-            raise ShapeError("embed cannot shrink a shape")
-        if len(ell_positions) != self.n_ell:
-            raise ShapeError("ell_positions must map every old boundary")
-        out = {}
-        for k, q in self.terms.items():
-            key = [0] * (n_ell + n_m)
-            for i, e in enumerate(k[:self.n_ell]):
-                key[ell_positions[i] - 1] = e
-            for j, e in enumerate(k[self.n_ell:]):
-                key[n_ell + j] = e
-            out[tuple(key)] = q
-        return TightPoly._raw(n_ell, n_m, out)
 
     # -- evaluation -------------------------------------------------------
 

@@ -351,5 +351,6 @@ class PolyCache:
         return save_tau(self.tau_path())
 
     def load_tau(self) -> int:
-        """Merge a persisted tau segment into the memo; returns count."""
+        """Merge a persisted tau segment into the memo; returns its count
+        of distinct keys."""
         return load_tau(self.tau_path())

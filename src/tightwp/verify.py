@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 
 import mpmath
@@ -75,41 +76,40 @@ def criterion_constants(cache=None) -> CriterionResult:
     return CriterionResult("C01 constants", checks)
 
 
-def _expected_p04() -> TightPoly:
-    m1 = TightPoly.m_var(4, 1, 1)
-    out = -m1
-    for i in range(1, 5):
-        out = out + TightPoly.ell_var(4, 1, i) * Rational(1, 2)
-    return out
-
-
-def _expected_p12() -> TightPoly:
-    m1 = TightPoly.m_var(2, 2, 1)
-    m2 = TightPoly.m_var(2, 2, 2)
-    l1 = TightPoly.ell_var(2, 2, 1)
-    l2 = TightPoly.ell_var(2, 2, 2)
-    inner = (-m2) + m1 * m1 * 2 - m1 * (l1 + l2) \
-        + (l1 * l1 + l2 * l2) * Rational(1, 8) + l1 * l2 * Rational(1, 4)
-    return inner * Rational(1, 24)
-
-
 def criterion_polynomials(cache=None) -> CriterionResult:
-    """Base cases and hand-derived P_{0,4}, P_{1,2} as exact term maps."""
+    """Base cases and hand-derived P_{0,4}, P_{1,2} as exact term maps.
+
+    Keys list the ell exponents, then the m exponents."""
+    r = Rational
     checks = []
     p03 = tightpoly.p_gn(0, 3, cache=cache).poly
-    checks.append(Check("P_{0,3} = 1", p03 == TightPoly.const(3, 0, 1),
+    checks.append(Check("P_{0,3} = 1",
+                        p03 == TightPoly(3, 0, {(0, 0, 0): 1}),
                         repr(p03.to_obj()), "exact"))
     p11 = tightpoly.p_gn(1, 1, cache=cache).poly
-    m1 = TightPoly.m_var(1, 1, 1)
-    l1 = TightPoly.ell_var(1, 1, 1)
-    expected11 = ((-m1) + l1 * Rational(1, 2)) * Rational(1, 24)
+    expected11 = TightPoly(1, 1, {(0, 1): r(-1, 24), (1, 0): r(1, 48)})
     checks.append(Check("P_{1,1} = (1/24)(-m1 + ell1/2)",
                         p11 == expected11, repr(p11.to_obj()), "exact"))
+    # -m1 + (ell1 + ell2 + ell3 + ell4)/2
+    expected04 = TightPoly(4, 1, {(0, 0, 0, 0, 1): -1,
+                                  (1, 0, 0, 0, 0): r(1, 2),
+                                  (0, 1, 0, 0, 0): r(1, 2),
+                                  (0, 0, 1, 0, 0): r(1, 2),
+                                  (0, 0, 0, 1, 0): r(1, 2)})
     p04 = tightpoly.p_gn(0, 4, cache=cache).poly
-    checks.append(Check("P_{0,4} hand form", p04 == _expected_p04(),
+    checks.append(Check("P_{0,4} hand form", p04 == expected04,
                         repr(p04.to_obj()), "exact"))
+    # (1/24)(-m2 + 2 m1^2 - m1 (ell1 + ell2) + (ell1^2 + ell2^2)/8
+    #        + ell1 ell2/4)
+    expected12 = TightPoly(2, 2, {(0, 0, 0, 1): r(-1, 24),
+                                  (0, 0, 2, 0): r(1, 12),
+                                  (1, 0, 1, 0): r(-1, 24),
+                                  (0, 1, 1, 0): r(-1, 24),
+                                  (2, 0, 0, 0): r(1, 192),
+                                  (0, 2, 0, 0): r(1, 192),
+                                  (1, 1, 0, 0): r(1, 96)})
     p12 = tightpoly.p_gn(1, 2, cache=cache).poly
-    checks.append(Check("P_{1,2} hand form", p12 == _expected_p12(),
+    checks.append(Check("P_{1,2} hand form", p12 == expected12,
                         repr(p12.to_obj()), "exact"))
     return CriterionResult("C02 exact polynomial identities", checks)
 
@@ -167,37 +167,43 @@ def criterion_series_extraction(cache=None) -> CriterionResult:
 
 
 def recursion_step(prev: tightpoly.PolyCell) -> TightPoly:
-    """P_{g,n} from P_{g,n-1} by the tight-volume n-recursion: the
-    derivative terms, the (2g-3+n)(-m_1 + ell_1/2) volume term and the
-    boundary integrals.  An independent route to the closed form."""
-    g, n, d = prev.genus, prev.boundaries + 1, prev.d + 1
-    # previous cell lifted: its boundaries become positions 2..n
-    prev_l = prev.poly.embed(n, d, tuple(range(2, n + 1)))
-    ell1 = TightPoly.ell_var(n, d, 1)
-    m1 = TightPoly.m_var(n, d, 1)
+    """P_{g,n} from P_{g,n-1} by the tight-volume n-recursion, in one pass
+    over the terms of P_{g,n-1}; an independent route to the closed form.
 
-    out = TightPoly.zero(n, d)
-    # derivative terms: sum over p of
-    #   (m_{p+1} - ell_1^{p+1}/(2^{p+1}(p+1)!) - m_1 m_p + ell_1 m_p / 2)
-    #   * dP_{g,n-1}/dm_p
-    for p in range(1, d):
-        dprev = prev_l.dm(p)
-        if dprev.is_zero:
-            continue
-        m_p = TightPoly.m_var(n, d, p)
-        m_p1 = TightPoly.m_var(n, d, p + 1)
-        ell_pow = TightPoly(n, d, {(p + 1,) + (0,) * (n - 1 + d): Rational(
-            -1, 2 ** (p + 1) * math.factorial(p + 1))})
-        factor = m_p1 + ell_pow - m1 * m_p + ell1 * m_p * Rational(1, 2)
-        out = out + factor * dprev
-    # volume term
-    out = out + (2 * g - 3 + n) * ((-m1) + ell1 * Rational(1, 2)) * prev_l
-    # boundary integrals: previous first boundary becomes x integrated to L_i
-    for i in range(2, n + 1):
-        rest = [j for j in range(2, n + 1) if j != i]
-        placed = prev.poly.embed(n, d, tuple([i] + rest))
-        out = out + placed.integrate_ell(i)
-    return out
+    Each term t = q ell^a m^e, its boundaries moved to positions 2..n,
+    adds the volume term (2g-3+n)(-m_1 + ell_1/2) t, the derivative
+    terms sum_p (m_{p+1} - ell_1^{p+1}/(2^{p+1}(p+1)!) - m_1 m_p
+    + ell_1 m_p/2) dt/dm_p, and one boundary integral per position i >= 2:
+    the old first boundary, exponent a_1, moves to position i with
+    exponent a_1 + 1 and coefficient q/(2a_1 + 2), which is
+    int_0^{L_i} x t(x^2) dx.  As sum_p m_p dt/dm_p = |e| t, the
+    -m_1 m_p + ell_1 m_p/2 parts join the volume term, whose factor
+    becomes 2g-3+n+|e|.
+    """
+    g, n, d = prev.genus, prev.boundaries + 1, prev.d + 1
+    # the coefficient of ell_1^{p+1} in the factor of dt/dm_p
+    ell_coef = [None] + [Rational(-1, 2 ** (p + 1) * math.factorial(p + 1))
+                         for p in range(1, d)]
+    out = defaultdict(int)
+    for key, q in prev.poly.terms.items():
+        a, e = key[:n - 1], key[n - 1:] + (0,)
+        # volume term with the -m_1 m_p + ell_1 m_p/2 derivative parts
+        vol = (2 * g - 3 + n + sum(e)) * q
+        out[(0, *a, e[0] + 1, *e[1:])] -= vol
+        out[(1, *a, *e)] += vol / 2
+        # the m_{p+1} and ell_1^{p+1} derivative parts
+        for p in range(1, d):
+            if e[p - 1]:
+                c = e[p - 1] * q
+                low = (*e[:p - 1], e[p - 1] - 1)
+                out[(0, *a, *low, e[p] + 1, *e[p + 1:])] += c
+                out[(p + 1, *a, *low, *e[p:])] += c * ell_coef[p]
+        # boundary integrals
+        if a:
+            c = q / (2 * a[0] + 2)
+            for i in range(1, n):
+                out[(0, *a[1:i], a[0] + 1, *a[i:], *e)] += c
+    return TightPoly._raw(n, d, {k: c for k, c in out.items() if c})
 
 
 def recursion_holds(cell: tightpoly.PolyCell, cache=None) -> bool:

@@ -173,6 +173,14 @@ class TestSample:
         code, _, err = run(capsys, "sample", "--kind", "cusps")
         assert code == 2
 
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_refused(self, capsys, count):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sample", "--kind", "poisson", "--t-max", "2",
+                      "--count", count])
+        assert exc.value.code == 2
+        assert "--count must be at least 1" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_fast_suite_passes(self, capsys, tmp_path):
@@ -190,6 +198,12 @@ class TestVerify:
             for check in crit["checks"]:
                 assert set(check) >= {"name", "passed", "measured",
                                      "tolerance"}
+
+    def test_mc_samples_below_one_is_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--suite", "full", "--mc-samples", "0"])
+        assert exc.value.code == 2
+        assert "--mc-samples must be at least 1" in capsys.readouterr().err
 
 
 class TestCacheBehaviour:
@@ -246,6 +260,35 @@ class TestCacheBehaviour:
                            "-g", "1", "-n", "2")
         assert code == 4
         assert "cache" in err
+
+    def test_tau_segment_written_only_when_keys_are_added(
+            self, capsys, tmp_path, monkeypatch):
+        from tightwp import cache, intersection, tightpoly
+
+        def fresh_process():
+            monkeypatch.setattr(intersection, "_memo", {})
+            monkeypatch.setattr(intersection, "_values", {})
+            monkeypatch.setattr(tightpoly, "_cells", {})
+
+        cache_dir = tmp_path / "c"
+        tau = cache_dir / "tau.twp"
+        poly = ["--cache-dir", str(cache_dir), "poly", "-g", "2", "-n", "1"]
+        fresh_process()
+        assert run(capsys, *poly)[0] == 0
+        cold = tau.stat()
+        rows = len(cache.read_twp(tau, "tau")[1])
+        # a warm run loads the cell and the segment and adds no key
+        fresh_process()
+        assert run(capsys, *poly)[0] == 0
+        warm = tau.stat()
+        assert (warm.st_ino, warm.st_mtime_ns) == \
+            (cold.st_ino, cold.st_mtime_ns)
+        # a run that adds keys rewrites the segment with them
+        fresh_process()
+        assert run(capsys, "--cache-dir", str(cache_dir), "tau",
+                   "--genus", "3", "--indices", "7")[0] == 0
+        assert tau.stat().st_ino != cold.st_ino
+        assert len(cache.read_twp(tau, "tau")[1]) > rows
 
     def test_wrong_tau_value_exits_four(self, capsys, tmp_path):
         from tightwp import cache

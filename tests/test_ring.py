@@ -42,9 +42,7 @@ class TestPiPoly:
         b = PiPoly({1: Rational(-2)})  # -2 pi^2
         assert (a + b) == PiPoly({0: 1})
         assert (a * b) == PiPoly({1: -2, 2: -4})
-        assert a - a == PiPoly.zero()
         assert (a * Rational(1, 2)) == PiPoly({0: Rational(1, 2), 1: 1})
-        assert a ** 2 == a * a
 
     def test_eval_deterministic(self):
         p = PiPoly({1: 1})
@@ -56,8 +54,8 @@ class TestPiPoly:
             PiPoly({-1: 1})
 
     def test_serialization_round_trip(self):
-        p = PiPoly({0: Rational(-7, 3), 4: Rational(22, 5)})
-        assert PiPoly.from_obj(p.to_obj()) == p
+        p = PiPoly({4: Rational(22, 5), 0: Rational(-7, 3)})
+        assert p.to_obj() == [[0, "-7/3"], [4, "22/5"]]
 
     def test_hash_agrees_with_eq_for_constants(self):
         # equal objects must hash alike, or sets and dicts lose them
@@ -160,88 +158,37 @@ def _eval(p, ell_values, m_values, prec=113):
 
 
 def _p11():
-    m1 = TightPoly.m_var(1, 1, 1)
-    l1 = TightPoly.ell_var(1, 1, 1)
-    return ((-m1) + l1 * Rational(1, 2)) * Rational(1, 24)
+    """P_{1,1} = (1/24)(-m1 + ell1/2)."""
+    return TightPoly(1, 1, {(0, 1): Rational(-1, 24),
+                            (1, 0): Rational(1, 48)})
 
 
 class TestTightPolyOps:
-    def test_add_identity_and_inverse(self):
-        p = _p11()
-        zero = TightPoly.zero(1, 1)
-        assert p + zero == p
-        assert (p + -p).is_zero
-
-    def test_add_disjoint_supports(self):
-        m1 = TightPoly.m_var(2, 1, 1)
-        l1 = TightPoly.ell_var(2, 1, 1)
-        s = -m1 + l1 * Rational(1, 2)
-        assert len(s) == 2
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            TightPoly.zero(1, 1) + TightPoly.zero(1, 2)
-        with pytest.raises(ShapeError):
-            TightPoly.zero(2, 1) * TightPoly.zero(1, 1)
-
-    def test_mul_identity_and_square(self):
-        p = _p11()
-        one = TightPoly.const(1, 1, 1)
-        assert p * one == p
-        m1 = TightPoly.m_var(1, 1, 1)
-        sq = m1 * m1
-        assert sq.terms == {(0, 2): Rational(1)}
-
-    def test_mul_hand_expansion(self):
-        # (-m1 + l1/2)(-m1 + l2/2) = m1^2 - m1 l2/2 - m1 l1/2 + l1 l2/4
-        m1 = TightPoly.m_var(2, 1, 1)
-        l1 = TightPoly.ell_var(2, 1, 1)
-        l2 = TightPoly.ell_var(2, 1, 2)
-        got = ((-m1) + l1 * Rational(1, 2)) * ((-m1) + l2 * Rational(1, 2))
-        assert got.terms == {
-            (0, 0, 2): Rational(1),
-            (0, 1, 1): Rational(-1, 2),
-            (1, 0, 1): Rational(-1, 2),
-            (1, 1, 0): Rational(1, 4),
-        }
-
     def test_dm_examples(self):
         assert _p11().dm(1).terms == {(0, 0): Rational(-1, 24)}
-        p04 = -TightPoly.m_var(4, 2, 1)
-        for i in range(1, 5):
-            p04 = p04 + TightPoly.ell_var(4, 2, i) * Rational(1, 2)
+        # P_{0,4} = -m1 + (ell1 + ... + ell4)/2, in a shape with m1, m2
+        half = Rational(1, 2)
+        p04 = TightPoly(4, 2, {(0, 0, 0, 0, 1, 0): -1,
+                               (1, 0, 0, 0, 0, 0): half,
+                               (0, 1, 0, 0, 0, 0): half,
+                               (0, 0, 1, 0, 0, 0): half,
+                               (0, 0, 0, 1, 0, 0): half})
+        assert len(p04) == 5
+        assert p04.dm(1) == TightPoly(4, 2, {(0,) * 6: -1})
         assert p04.dm(2).is_zero
-        m1 = TightPoly.m_var(1, 1, 1)
-        assert (m1 * m1).dm(1) == m1 * 2
+        assert TightPoly(1, 1, {(0, 2): 1}).dm(1) == \
+            TightPoly(1, 1, {(0, 1): 2})
 
     def test_dm_index_out_of_range(self):
         with pytest.raises(ShapeError):
             _p11().dm(2)
 
-    def test_integrate_examples(self):
-        one = TightPoly.const(2, 1, 1)
-        got = one.integrate_ell(2)
-        assert got.terms == {(0, 1, 0): Rational(1, 2)}
-        m1 = TightPoly.m_var(2, 1, 1)
-        l2 = TightPoly.ell_var(2, 1, 2)
-        p = ((-m1) + l2 * Rational(1, 2)) * Rational(1, 24)
-        got = p.integrate_ell(2)
-        assert got.terms == {(0, 1, 1): Rational(-1, 48),
-                             (0, 2, 0): Rational(1, 192)}
-        cube = l2 * (l2 * TightPoly.const(2, 1, 1))
-        got = cube.integrate_ell(2)
-        assert got.terms == {(0, 3, 0): Rational(1, 6)}
-
-    def test_integrate_index_out_of_range(self):
-        with pytest.raises(ShapeError):
-            _p11().integrate_ell(2)
-
     def test_eval_examples(self):
-        one = TightPoly.const(3, 0, 1)
+        one = TightPoly(3, 0, {(0, 0, 0): 1})
         assert _eval(one, [1.0, 2.0, 3.0], [])[0] == 1
-        p = -TightPoly.m_var(2, 1, 1)
-        for i in (1, 2):
-            p = p + TightPoly.ell_var(2, 1, i) * Rational(1, 2)
+        # -m1 + (ell1 + ell2)/2
+        p = TightPoly(2, 1, {(0, 0, 1): -1, (1, 0, 0): Rational(1, 2),
+                             (0, 1, 0): Rational(1, 2)})
         with mp.workprec(113):
             v, _, _ = _eval(p, [0, 0], [-2 * pi_squared(113)])
             assert abs(v - 2 * pi_squared(113)) < mpmath.mpf(2) ** -100
@@ -258,8 +205,7 @@ class TestTightPolyOps:
             _eval(_p11(), [1.0], [0.0], 52)
 
     def test_eval_cancellation_flag(self):
-        m1 = TightPoly.m_var(0, 1, 1)
-        p = m1 + TightPoly.const(0, 1, 1)
+        p = TightPoly(0, 1, {(1,): 1, (0,): 1})  # m1 + 1
         _, _, cancelled = _eval(p, [], [-1.0 + 1e-12])
         assert cancelled
         _, _, ok = _eval(p, [], [1.0])
@@ -284,19 +230,6 @@ def _tp_strategy(n_ell=2, n_m=2, max_exp=2):
                                          for k, v in d.items()}))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_tp_strategy(), _tp_strategy(), _tp_strategy())
-def test_distributivity_exact(a, b, c):
-    assert (a + b) * c == a * c + b * c
-
-
-@settings(max_examples=60, deadline=None)
-@given(_tp_strategy(), _tp_strategy())
-def test_mul_commutes_add_commutes(a, b):
-    assert a * b == b * a
-    assert a + b == b + a
-
-
 @settings(max_examples=25, deadline=None)
 @given(_tp_strategy(n_ell=1, n_m=2),
        st.tuples(st.integers(-5, 5), st.integers(1, 5)),
@@ -315,19 +248,3 @@ def test_dm_matches_central_differences(p, qm1, qm2, index):
               - _eval(p, ell_point, m_lo)[0]) / (2 * h)
         exact = _eval(p.dm(index), ell_point, m_point)[0]
         assert abs(fd - exact) <= 1e-6 * (1 + abs(exact))
-
-
-@settings(max_examples=25, deadline=None)
-@given(_tp_strategy(n_ell=1, n_m=1))
-def test_integration_derivative_duality(p):
-    """d/dL of (int_0^L x p dx)(ell=L^2) recovers L p(L^2) numerically."""
-    q = p.integrate_ell(1)
-    with mp.workprec(113):
-        for lval in (mpmath.mpf(1) / 2, mpmath.mpf(1), mpmath.mpf(2)):
-            h = mpmath.mpf(2) ** -30
-            m_point = [mpmath.mpf(1) / 3]
-            f_hi = _eval(q, [(lval + h) ** 2], m_point)[0]
-            f_lo = _eval(q, [(lval - h) ** 2], m_point)[0]
-            fd = (f_hi - f_lo) / (2 * h)
-            target = lval * _eval(p, [lval ** 2], m_point)[0]
-            assert abs(fd - target) <= 1e-6 * (1 + abs(target))

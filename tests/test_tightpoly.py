@@ -93,25 +93,6 @@ class TestPgn:
         with pytest.raises(DomainError):
             tightpoly.p_gn(1, 0)
 
-    def test_p21_recursion_consistency_at_l_zero(self):
-        """P_{2,1}(0, m) equals the derivative + volume terms applied to
-        P_{2,0}, exactly (the boundary integral vanishes at n=1)."""
-        c21 = tightpoly.p_gn(2, 1)
-        c20 = tightpoly.p_gn(2, 0)
-        d = c21.d
-        prev = c20.poly.embed(1, d, ())
-        expect = TightPoly.zero(1, d)
-        m1 = TightPoly.m_var(1, d, 1)
-        for p in range(1, d):
-            m_p = TightPoly.m_var(1, d, p)
-            m_p1 = TightPoly.m_var(1, d, p + 1)
-            expect = expect + (m_p1 - m1 * m_p) * prev.dm(p)
-        expect = expect + 2 * (-m1) * prev
-        # restrict P_{2,1} to ell_1 = 0
-        restricted = TightPoly(
-            1, d, {k: v for k, v in c21.poly.terms.items() if k[0] == 0})
-        assert restricted == expect
-
     def test_validate_cell_and_corruption(self):
         cell = tightpoly.p_gn(2, 2)
         assert tightpoly.validate_cell(cell)
@@ -140,6 +121,25 @@ class TestPgn:
         terms[key] = terms[key] + Rational(1, 7)
         bad = tightpoly.PolyCell(2, 2, TightPoly(2, cell.d, terms))
         assert not verify.recursion_holds(bad)
+
+    @pytest.mark.parametrize("key, out_key, share", [
+        # ell_1^4: its boundary integral puts q/(2*4 + 2) on ell_2^5
+        ((4, 0, 0, 0, 0), (0, 5, 0, 0, 0, 0, 0), Rational(1, 10)),
+        # m_2^2: its m_2-derivative puts -2q/(2^3 3!) on ell_1^3 m_2
+        ((0, 0, 2, 0, 0), (3, 0, 0, 1, 0, 0, 0), Rational(-1, 24)),
+    ], ids=["boundary-integral", "derivative"])
+    def test_recursion_step_sees_one_changed_input_coefficient(
+            self, key, out_key, share):
+        prev = tightpoly.p_gn(2, 1)
+        target = tightpoly.p_gn(2, 2).poly
+        terms = dict(prev.poly.terms)
+        delta = Rational(1, 7)
+        terms[key] += delta
+        got = verify.recursion_step(
+            tightpoly.PolyCell(2, 1, TightPoly(1, prev.d, terms)))
+        assert got != target
+        assert got.terms.get(out_key, 0) - target.terms.get(out_key, 0) \
+            == share * delta
 
     def test_asymmetric_cell_reported(self):
         poly = TightPoly(2, 0, {(1, 0): Rational(1)})
