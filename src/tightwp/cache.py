@@ -1,6 +1,6 @@
 """Versioned, checksummed cache files (.twp).
 
-Layout: a header line ``TWPCACHE v1 <kind> <meta...>``, a checksum line
+Layout: a header line ``TWPCACHE v2 <kind> <meta...>``, a checksum line
 ``sha256 <hexdigest>`` over the payload bytes, then the payload (one JSON
 document).  Files are published with an atomic rename so concurrent
 builders never observe partial writes.
@@ -17,7 +17,7 @@ from pathlib import Path
 from tightwp.errors import CacheError
 
 MAGIC = "TWPCACHE"
-VERSION = "v1"
+VERSION = "v2"
 
 
 def write_twp(path, kind: str, meta, payload_obj) -> None:

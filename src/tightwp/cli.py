@@ -113,7 +113,7 @@ def cmd_poly(cfg: RunConfig, args) -> int:
            "d": cell.d, "terms": cell.poly.to_obj(), "verdict": verdict}
     lines = [f"P_({args.genus},{args.boundaries})  D={cell.d}  "
              f"{len(cell.poly)} terms"]
-    for ell, m, q in cell.poly.to_obj():
+    for ell, m, q in obj["terms"]:
         lines.append(f"  ell={ell} m={m}  {q}")
     lines.append(verdict)
     _emit(cfg, obj, text_lines=lines)

@@ -291,8 +291,10 @@ def intersection_number(key, indices=None) -> Rational:
 
 
 def save_tau(path) -> int:
-    """Write the memo as a tau segment; returns the row count."""
-    rows = [[g, list(d), rat_to_str(Rational(x, _scale(g, d)))]
+    """Write the memo as a tau segment, each value as held in _values
+    where it is there; returns the row count."""
+    rows = [[g, list(d), rat_to_str(_values.get((g, d))
+                                    or Rational(x, _scale(g, d)))]
             for (g, d), x in sorted(_memo.items())]
     twpcache.write_twp(path, "tau", [len(rows)], rows)
     return len(rows)

@@ -30,7 +30,9 @@ threads:
                       lift (``mpf_list``) is formed once per cell and
                       precision and held by the caller
                       (``tightpoly.PolyCell.mpf_coeffs``), so no pass
-                      converts a coefficient again.
+                      converts a coefficient again.  The disk store
+                      holds a cell in term order as ``to_columns``
+                      gives it; ``to_obj`` is the sorted display form.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
@@ -530,32 +533,48 @@ class TightPoly:
         return sorted(self.terms.items(), key=sort_key)
 
     def to_obj(self):
-        """Canonical serialization: [[ell-exps, m-exps, 'num/den'], ...]."""
+        """Canonical display form: [[ell-exps, m-exps, 'num/den'], ...]."""
         n = self.n_ell
         return [[list(k[:n]), list(k[n:]), rat_to_str(q)]
                 for k, q in self.sorted_terms()]
 
-    @classmethod
-    def from_obj(cls, n_ell: int, n_m: int, obj) -> "TightPoly":
-        """Inverse of ``to_obj``, in one pass over the rows.
+    def to_columns(self) -> list:
+        """Store form [coeffs, keys_hex, index] in the order of ``terms``:
+        the distinct 'num/den' strings in first-use order, the keys as one
+        byte per exponent in hex, and per term its index into coeffs.
+        Raises ShapeError on an exponent above 255."""
+        at, pos = {}, {}
+        for q in self.terms.values():
+            if id(q) not in at:
+                at[id(q)] = pos.setdefault(rat_to_str(q), len(pos))
+        try:
+            keys = bytes(chain.from_iterable(self.terms)).hex()
+        except ValueError:
+            raise ShapeError("an exponent above 255 does not fit the one "
+                             "byte per exponent of the store") from None
+        return [list(pos), keys, [at[id(q)] for q in self.terms.values()]]
 
-        Raises ShapeError on a key of the wrong width, an exponent that is
-        not a non-negative int, or a repeated key, and ValueError on a
-        coefficient that is not 'num/den' with ints num != 0 and den > 0.
-        Equal coefficient strings share one Rational.
-        """
-        terms, parsed = {}, {}
-        for ell, m, s in obj:
-            key = (*ell, *m)
-            if len(ell) != n_ell or len(m) != n_m or key and (
-                    set(map(type, key)) != {int} or min(key) < 0):
-                raise ShapeError(f"bad exponent key {ell}, {m} for shape "
-                                 f"({n_ell},{n_m})")
-            q = parsed.get(s)
-            if q is None:
-                q = parsed[s] = _parse_coeff(s)
-            terms[key] = q
-        if len(terms) != len(obj):
+    @classmethod
+    def from_columns(cls, n_ell: int, n_m: int, cols) -> "TightPoly":
+        """Inverse of ``to_columns``, terms in stored order; equal
+        coefficients share one Rational.  Raises ShapeError on keys of the
+        wrong total width, an index that is not an int in range or a
+        repeated key, and ValueError on a payload that is not three
+        columns, keys that are not hex or a coefficient that is not
+        'num/den' with ints num != 0 and den > 0."""
+        coeffs, keys_hex, index = cols
+        keys, width = bytes.fromhex(keys_hex), n_ell + n_m
+        if len(keys) != width * len(index):
+            raise ShapeError(f"{len(keys)} key bytes for {len(index)} terms "
+                             f"of shape ({n_ell},{n_m})")
+        if index and (set(map(type, index)) != {int} or min(index) < 0
+                      or max(index) >= len(coeffs)):
+            raise ShapeError(f"a coefficient index is not an int in "
+                             f"0..{len(coeffs) - 1}")
+        qs = [_parse_coeff(s) for s in coeffs]
+        terms = dict(zip(zip(*[iter(keys)] * width) if width else [()],
+                         map(qs.__getitem__, index)))
+        if len(terms) != len(index):
             raise ShapeError("repeated exponent key")
         return cls._raw(n_ell, n_m, terms)
 

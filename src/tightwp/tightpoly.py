@@ -317,10 +317,9 @@ class PolyCache:
         return self.root / "poly" / f"g{g}_n{n}.twp"
 
     def store(self, cell: PolyCell) -> None:
-        write_obj = cell.poly.to_obj()
-        write_twp = twpcache.write_twp
-        write_twp(self._cell_path(cell.genus, cell.boundaries), "poly",
-                  [cell.genus, cell.boundaries, cell.d], write_obj)
+        twpcache.write_twp(self._cell_path(cell.genus, cell.boundaries),
+                           "poly", [cell.genus, cell.boundaries, cell.d],
+                           cell.poly.to_columns())
 
     def load(self, g: int, n: int) -> PolyCell | None:
         path = self._cell_path(g, n)
@@ -331,7 +330,7 @@ class PolyCache:
         try:
             if [int(x) for x in meta[:3]] != [g, n, 3 * g - 3 + n]:
                 raise ValueError(f"metadata {meta}")
-            poly = TightPoly.from_obj(n, 3 * g - 3 + n, obj)
+            poly = TightPoly.from_columns(n, 3 * g - 3 + n, obj)
         except (ShapeError, TypeError, ValueError) as exc:
             raise CacheError(f"{path}: bad cell for ({g},{n}) ({exc})") \
                 from exc

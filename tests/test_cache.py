@@ -41,9 +41,11 @@ def test_kind_and_version_checked(tmp_path):
     cache.write_twp(path, "tau", [0], [])
     with pytest.raises(CacheError):
         cache.read_twp(path, "poly")
-    blob = path.read_bytes().replace(b" v1 ", b" v2 ", 1)
-    path.write_bytes(blob)
-    with pytest.raises(CacheError):
+    blob = path.read_bytes()
+    stale = blob.replace(f" {cache.VERSION} ".encode(), b" v0 ", 1)
+    assert stale != blob
+    path.write_bytes(stale)
+    with pytest.raises(CacheError, match="cache version v0"):
         cache.read_twp(path, "tau")
 
 

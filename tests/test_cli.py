@@ -206,16 +206,23 @@ class TestVerify:
         assert "--mc-samples must be at least 1" in capsys.readouterr().err
 
 
+def _fresh_process(monkeypatch):
+    """Empty the tau memo and the cell memo, as a new process starts."""
+    from tightwp import intersection, tightpoly
+
+    monkeypatch.setattr(intersection, "_memo", {})
+    monkeypatch.setattr(intersection, "_values", {})
+    monkeypatch.setattr(tightpoly, "_cells", {})
+
+
 class TestCacheBehaviour:
     def test_cold_and_warm_runs_identical(self, capsys, tmp_path,
                                           monkeypatch):
-        from tightwp import tightpoly
-
         cache_dir = str(tmp_path / "c")
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        _fresh_process(monkeypatch)
         code1, out1, _ = run(capsys, "--cache-dir", cache_dir, "poly",
                              "-g", "1", "-n", "2")
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        _fresh_process(monkeypatch)
         code2, out2, _ = run(capsys, "--cache-dir", cache_dir, "poly",
                              "-g", "1", "-n", "2")
         assert code1 == code2 == 0
@@ -223,68 +230,75 @@ class TestCacheBehaviour:
         assert (tmp_path / "c" / "poly" / "g1_n2.twp").exists()
 
     def test_tampered_cache_exits_four(self, capsys, tmp_path, monkeypatch):
-        from tightwp import tightpoly
-
         cache_dir = tmp_path / "c"
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        _fresh_process(monkeypatch)
         run(capsys, "--cache-dir", str(cache_dir), "poly", "-g", "1",
             "-n", "2")
         path = cache_dir / "poly" / "g1_n2.twp"
         path.write_bytes(path.read_bytes()[:-6])
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        _fresh_process(monkeypatch)
         code, _, err = run(capsys, "--cache-dir", str(cache_dir), "poly",
                            "-g", "1", "-n", "2")
         assert code == 4
-        assert "cache" in err
+        assert "checksum mismatch" in err
 
-    @pytest.mark.parametrize("tamper", [
-        lambda rows: rows[1:],
-        lambda rows: [rows[0][:2] + ["oops"]] + rows[1:],
+    @pytest.mark.parametrize("tamper, message", [
+        (lambda c: [c[0], c[1][8:], c[2][1:]], "has 6 terms, expected 7"),
+        (lambda c: [["oops"] + c[0][1:], c[1], c[2]], "is not 'num/den'"),
     ], ids=["dropped-row", "unparsable-coefficient"])
     def test_checksum_valid_bad_cell_exits_four(self, capsys, tmp_path,
-                                                monkeypatch, tamper):
-        from tightwp import cache, intersection, tightpoly
+                                                monkeypatch, tamper,
+                                                message):
+        from tightwp import cache
 
-        # an empty tau memo keeps the tau segment each run writes small
-        monkeypatch.setattr(intersection, "_memo", {})
-        monkeypatch.setattr(intersection, "_values", {})
         cache_dir = tmp_path / "c"
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        _fresh_process(monkeypatch)
         run(capsys, "--cache-dir", str(cache_dir), "poly", "-g", "1",
             "-n", "2")
         path = cache_dir / "poly" / "g1_n2.twp"
-        meta, rows = cache.read_twp(path, "poly")
-        cache.write_twp(path, "poly", meta, tamper(rows))
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        meta, cols = cache.read_twp(path, "poly")
+        cache.write_twp(path, "poly", meta, tamper(cols))
+        _fresh_process(monkeypatch)
         code, _, err = run(capsys, "--cache-dir", str(cache_dir), "poly",
                            "-g", "1", "-n", "2")
         assert code == 4
-        assert "cache" in err
+        assert "cache error" in err and message in err
+
+    def test_older_cache_version_exits_four(self, capsys, tmp_path,
+                                            monkeypatch):
+        from tightwp import cache, tightpoly
+
+        # a cell as the row format wrote it, under the older header
+        path = tmp_path / "c" / "poly" / "g1_n2.twp"
+        cache.write_twp(path, "poly", [1, 2, 2],
+                        tightpoly.p_gn(1, 2).poly.to_obj())
+        path.write_bytes(path.read_bytes().replace(
+            f"TWPCACHE {cache.VERSION} ".encode(), b"TWPCACHE v1 ", 1))
+        _fresh_process(monkeypatch)
+        code, out, err = run(capsys, "--cache-dir", str(tmp_path / "c"),
+                             "poly", "-g", "1", "-n", "2")
+        assert code == 4 and out == ""
+        assert f"cache version v1 != {cache.VERSION}" in err
 
     def test_tau_segment_written_only_when_keys_are_added(
             self, capsys, tmp_path, monkeypatch):
-        from tightwp import cache, intersection, tightpoly
-
-        def fresh_process():
-            monkeypatch.setattr(intersection, "_memo", {})
-            monkeypatch.setattr(intersection, "_values", {})
-            monkeypatch.setattr(tightpoly, "_cells", {})
+        from tightwp import cache
 
         cache_dir = tmp_path / "c"
         tau = cache_dir / "tau.twp"
         poly = ["--cache-dir", str(cache_dir), "poly", "-g", "2", "-n", "1"]
-        fresh_process()
+        _fresh_process(monkeypatch)
         assert run(capsys, *poly)[0] == 0
         cold = tau.stat()
         rows = len(cache.read_twp(tau, "tau")[1])
         # a warm run loads the cell and the segment and adds no key
-        fresh_process()
+        _fresh_process(monkeypatch)
         assert run(capsys, *poly)[0] == 0
         warm = tau.stat()
         assert (warm.st_ino, warm.st_mtime_ns) == \
             (cold.st_ino, cold.st_mtime_ns)
         # a run that adds keys rewrites the segment with them
-        fresh_process()
+        _fresh_process(monkeypatch)
         assert run(capsys, "--cache-dir", str(cache_dir), "tau",
                    "--genus", "3", "--indices", "7")[0] == 0
         assert tau.stat().st_ino != cold.st_ino

@@ -213,9 +213,23 @@ class TestTightPolyOps:
 
     def test_serialization_round_trip_canonical_order(self):
         p = _p11()
-        obj = p.to_obj()
-        assert obj == [[[1], [0], "1/48"], [[0], [1], "-1/24"]]
-        assert TightPoly.from_obj(1, 1, obj) == p
+        assert p.to_obj() == [[[1], [0], "1/48"], [[0], [1], "-1/24"]]
+        cols = p.to_columns()
+        assert cols == [["-1/24", "1/48"], "00010100", [0, 1]]
+        back = TightPoly.from_columns(1, 1, cols)
+        assert back == p and list(back.terms) == list(p.terms)
+
+    def test_columns_keep_literal_order_and_share_equal_coefficients(self):
+        # canonical order would be (1, 0), (0, 1), (2, 0)
+        p = TightPoly(1, 1, {(2, 0): Rational(1, 48), (0, 1): Rational(-1, 24),
+                             (1, 0): Rational(1, 48)})
+        cols = p.to_columns()
+        assert cols == [["1/48", "-1/24"], "020000010100", [0, 1, 0]]
+        back = TightPoly.from_columns(1, 1, cols)
+        assert back == p and list(back.terms) == [(2, 0), (0, 1), (1, 0)]
+        assert back.terms[(2, 0)] is back.terms[(1, 0)]
+        const = TightPoly(0, 0, {(): 3})
+        assert TightPoly.from_columns(0, 0, const.to_columns()) == const
 
 
 # -- property-based checks ---------------------------------------------------

@@ -7,7 +7,7 @@ from mpmath import mp
 
 from tightwp import cache as twpcache
 from tightwp import intersection, moments, tightpoly, verify
-from tightwp.errors import BudgetError, CacheError, DomainError
+from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
 from tightwp.intersection import intersection_number
 from tightwp.ring import (MuSeries, PiPoly, Rational, TightPoly,
                           eval_ell_groups, to_mpf)
@@ -286,6 +286,17 @@ class TestDiagnostics:
             tightpoly.alpha_deriv(2, 0, (), fr)
 
 
+def _keys(cols, width):
+    """The exponent keys of a column payload, as tuples."""
+    b = bytes.fromhex(cols[1])
+    return [tuple(b[i:i + width]) for i in range(0, len(b), width)]
+
+
+def _cols(coeffs, keys, index):
+    """A column payload with its keys column encoded from ``keys``."""
+    return [coeffs, bytes(e for k in keys for e in k).hex(), index]
+
+
 class TestStore:
     def test_round_trip(self, poly_cache):
         cell = tightpoly.p_gn(1, 2)
@@ -310,9 +321,12 @@ class TestStore:
         cell = tightpoly.p_gn(1, 2)
         poly_cache.store(cell)
         path = poly_cache._cell_path(1, 2)
-        blob = path.read_bytes().replace(b"TWPCACHE v1", b"TWPCACHE v9", 1)
-        path.write_bytes(blob)
-        with pytest.raises(CacheError):
+        blob = path.read_bytes()
+        stale = blob.replace(f"TWPCACHE {twpcache.VERSION} ".encode(),
+                             b"TWPCACHE v9 ", 1)
+        assert stale != blob
+        path.write_bytes(stale)
+        with pytest.raises(CacheError, match="cache version v9"):
             poly_cache.load(1, 2)
 
     def test_loaded_cell_shares_equal_coefficients(self, poly_cache):
@@ -324,37 +338,78 @@ class TestStore:
         qs = list(back.poly.terms.values())
         assert len({id(q) for q in qs}) == len(set(qs)) < len(qs)
 
-    @pytest.mark.parametrize("tamper", [
-        lambda rows: rows[1:],
-        lambda rows: rows + [rows[0]],
-        lambda rows: [[r[0] + [0], r[1], r[2]] for r in rows],
-        lambda rows: [[r[0], r[1][:-1], r[2]] for r in rows],
-        lambda rows: [[[-1], rows[0][1], rows[0][2]]] + rows[1:],
-        lambda rows: [[[1.0], rows[0][1], rows[0][2]]] + rows[1:],
-        lambda rows: [[[True], rows[0][1], rows[0][2]]] + rows[1:],
-        lambda rows: [[rows[0][0], rows[0][1], "oops"]] + rows[1:],
-        lambda rows: [[rows[0][0], rows[0][1], "1/0"]] + rows[1:],
-        lambda rows: [[rows[0][0], rows[0][1], "0/1"]] + rows[1:],
-        lambda rows: [[rows[0][0], rows[0][1], 3]] + rows[1:],
-        lambda rows: [rows[0][:2]] + rows[1:],
+    @pytest.mark.parametrize("g, n", [(g, 0) for g in range(2, 8)]
+                             + [(2, n) for n in range(1, 7)]
+                             + [(3, n) for n in range(1, 5)]
+                             + [(g, n) for g in (4, 5) for n in range(1, 4)]
+                             + [(6, 1), (6, 2)])
+    def test_columns_round_trip_keeps_term_order(self, g, n):
+        poly = tightpoly.p_gn(g, n).poly
+        cols = poly.to_columns()
+        assert len(cols[0]) == len(set(cols[0])) == len(set(
+            poly.terms.values()))
+        back = TightPoly.from_columns(poly.n_ell, poly.n_m, cols)
+        assert back == poly
+        assert list(back.terms) == list(poly.terms)
+        qs = list(back.terms.values())
+        assert len({id(q) for q in qs}) == len(set(qs))
+
+    def test_exponent_above_255_is_refused_before_writing(self,
+                                                          poly_cache):
+        cell = tightpoly.PolyCell(1, 2, TightPoly(2, 1, {(256, 0, 0): 1}))
+        with pytest.raises(ShapeError, match="above 255"):
+            poly_cache.store(cell)
+        assert not poly_cache.root.exists()
+
+    @pytest.mark.parametrize("tamper, match", [
+        (lambda c, k: _cols(c[0], k[1:], c[2][1:]), "has 6 terms, expected 7"),
+        (lambda c, k: _cols(c[0], k + k[:1], c[2] + c[2][:1]),
+         "repeated exponent key"),
+        (lambda c, k: _cols(c[0], [e[:2] + (0,) + e[2:] for e in k], c[2]),
+         "35 key bytes for 7 terms"),
+        (lambda c, k: _cols(c[0], [e[:-1] for e in k], c[2]),
+         "21 key bytes for 7 terms"),
+        (lambda c, k: [c[0], c[1], [-1] + c[2][1:]], "coefficient index"),
+        (lambda c, k: [c[0], c[1], [0.0] + c[2][1:]], "coefficient index"),
+        (lambda c, k: [c[0], c[1], [True] + c[2][1:]], "coefficient index"),
+        (lambda c, k: [c[0], c[1], [len(c[0])] + c[2][1:]],
+         "coefficient index"),
+        (lambda c, k: [["oops"] + c[0][1:], c[1], c[2]], "is not 'num/den'"),
+        (lambda c, k: [["1/0"] + c[0][1:], c[1], c[2]], "zero or has a"),
+        (lambda c, k: [["0/1"] + c[0][1:], c[1], c[2]], "zero or has a"),
+        (lambda c, k: [[3] + c[0][1:], c[1], c[2]], "is not 'num/den'"),
+        (lambda c, k: [c[0], c[1], c[2][:-1]], "28 key bytes for 6 terms"),
+        (lambda c, k: c[:2], "not enough values to unpack"),
+        (lambda c, k: [c[0], "zz" + c[1][2:], c[2]], "non-hexadecimal"),
+        (lambda c, k: [c[0], c[1][:-1], c[2]], "non-hexadecimal"),
+        (lambda c, k: tightpoly.p_gn(1, 2).poly.to_obj(),
+         "too many values to unpack"),
     ], ids=["dropped-row", "duplicate-key", "wide-ell", "narrow-m",
-            "negative-exponent", "float-exponent", "bool-exponent",
-            "unparsable-coefficient", "zero-denominator", "zero-coefficient",
-            "int-coefficient", "short-row"])
+            "negative-index", "float-index", "bool-index",
+            "index-out-of-range", "unparsable-coefficient",
+            "zero-denominator", "zero-coefficient", "int-coefficient",
+            "short-row", "short-payload", "non-hex-keys", "odd-length-keys",
+            "not-three-columns"])
     def test_checksum_valid_bad_cell_is_cache_error(self, poly_cache,
-                                                    tamper):
+                                                    tamper, match):
         cell = tightpoly.p_gn(1, 2)
-        rows = tamper(cell.poly.to_obj())
+        cols = cell.poly.to_columns()
+        payload = tamper(cols, _keys(cols, 2 + cell.d))
         twpcache.write_twp(poly_cache._cell_path(1, 2), "poly",
-                           [1, 2, cell.d], rows)
-        with pytest.raises(CacheError):
+                           [1, 2, cell.d], payload)
+        with pytest.raises(CacheError, match=match):
             poly_cache.load(1, 2)
 
-    def test_tau_segment_round_trip(self, poly_cache):
+    def test_tau_segment_round_trip(self, poly_cache, monkeypatch):
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
         intersection_number(2, (4,))
-        n = poly_cache.save_tau()
-        assert n > 0
-        assert poly_cache.load_tau() == n
+        saved = dict(intersection._memo)
+        assert poly_cache.save_tau() == len(saved) > 1
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
+        assert poly_cache.load_tau() == len(saved)
+        assert intersection._memo == saved
 
     @pytest.mark.parametrize("row", [
         [1, [1], "1/48"],  # 1/48 * 2^3 * 3!! is not an integer
