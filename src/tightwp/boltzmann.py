@@ -1,10 +1,10 @@
 """Boltzmann cusp statistics over the tight volume generating functions.
 
-Everything here is a ratio or sum of quantities like T_{g,n}(L, mu) =
-M_0^-(2g-2+n) P_{g,n}(L, M) that blow up polynomially-in-1/M_0 near the
-critical fugacity; the LogValue wrapper keeps signs and natural-log
-magnitudes so ratios of astronomically large numbers stay representable
-at the API boundary.
+Everything here is a ratio or sum of values T_{g,n}(L, mu) =
+M_0^-(2g-2+n) P_{g,n}(L, M), read as plain mpf from ``t_value``.  They
+blow up polynomially in 1/M_0 near the critical fugacity, which mpmath's
+unbounded exponent holds.  ``t_volume`` returns the same value as a
+LogValue, a sign and a natural-log magnitude, for the CLI's report.
 
 Callers read one cell at one moment vector for many L, so the moment
 values are put into P_{g,n} once per (g, n, mu, prec) and kept, grouped
@@ -31,14 +31,11 @@ from tightwp.tightpoly import admissible, compositions, p_gn
 
 @dataclass(frozen=True)
 class LogValue:
-    """Sign plus natural-log magnitude; sign == 0 iff the value is zero."""
+    """Sign plus natural-log magnitude of a ``t_volume`` value; sign == 0
+    iff the value is zero."""
 
     sign: int
     log_magnitude: object
-
-    @classmethod
-    def zero(cls) -> "LogValue":
-        return cls(0, mpmath.mpf("-inf"))
 
     @classmethod
     def from_number(cls, x, prec: int = DEFAULT_PREC) -> "LogValue":
@@ -47,54 +44,6 @@ class LogValue:
             if x == 0:
                 return cls(0, mpmath.mpf("-inf"))
             return cls(1 if x > 0 else -1, mpmath.log(abs(x)))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.sign == 0
-
-    @staticmethod
-    def _work():
-        """Internal ops never drop below the package default precision."""
-        return mp.workprec(max(mp.prec, DEFAULT_PREC) + 16)
-
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        with self._work():
-            return LogValue(self.sign * other.sign,
-                            +(self.log_magnitude + other.log_magnitude))
-
-    def __truediv__(self, other: "LogValue") -> "LogValue":
-        if other.sign == 0:
-            raise ZeroDivisionError("LogValue division by zero")
-        if self.sign == 0:
-            return LogValue.zero()
-        with self._work():
-            return LogValue(self.sign * other.sign,
-                            +(self.log_magnitude - other.log_magnitude))
-
-    def __neg__(self) -> "LogValue":
-        return LogValue(-self.sign, self.log_magnitude)
-
-    def __add__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        big, small = self, other
-        if other.log_magnitude > self.log_magnitude:
-            big, small = other, self
-        with self._work():
-            diff = small.log_magnitude - big.log_magnitude  # <= 0
-            if big.sign == small.sign:
-                return LogValue(
-                    big.sign,
-                    +(big.log_magnitude + mpmath.log1p(mpmath.exp(diff))))
-            rest = 1 - mpmath.exp(diff)
-            if rest <= 0:
-                return LogValue.zero()
-            return LogValue(big.sign,
-                            +(big.log_magnitude + mpmath.log(rest)))
 
     def to_mpf(self, prec: int = DEFAULT_PREC):
         with mp.workprec(prec):
@@ -111,9 +60,6 @@ class LogValue:
             raise OverflowError(
                 f"LogValue magnitude exp({log_mag:.1f}) exceeds float range")
         return self.sign * math.exp(log_mag)
-
-    def __repr__(self):
-        return f"LogValue(sign={self.sign}, log={self.log_magnitude})"
 
 
 def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
@@ -134,9 +80,9 @@ def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     return frame, groups
 
 
-def t_volume(g: int, n: int, L: Sequence, mu,
-             prec: int = DEFAULT_PREC, cache=None) -> LogValue:
-    """T_{g,n}(L, mu) = M_0^-(2g-2+n) P_{g,n}(L, M) as a LogValue.
+def t_value(g: int, n: int, L: Sequence, mu,
+            prec: int = DEFAULT_PREC, cache=None):
+    """T_{g,n}(L, mu) = M_0^-(2g-2+n) P_{g,n}(L, M) as an mpf at prec.
 
     P_{g,n} is read from ``cell_groups``: the moments are put in once per
     (g, n, mu, prec), and each L costs one short sum over the cell's
@@ -147,28 +93,30 @@ def t_volume(g: int, n: int, L: Sequence, mu,
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
     if len(L) != n:
         raise DomainError(f"need {n} boundary lengths, got {len(L)}")
-    frame, groups = cell_groups(g, n, mu, prec, cache)
     with mp.workprec(prec):
-        ells = [mpmath.mpf(x) ** 2 for x in L]
-        if any(e < 0 for e in ells):
+        lengths = [mpmath.mpf(x) for x in L]
+        if not all(x >= 0 for x in lengths):
             raise DomainError("boundary lengths must be >= 0")
-        value, abs_sum, cancelled = eval_ell_groups(groups, ells, prec)
+        frame, groups = cell_groups(g, n, mu, prec, cache)
+        value, abs_sum, cancelled = eval_ell_groups(
+            groups, [x * x for x in lengths], prec)
         if cancelled:
             warnings.warn(
                 f"T_({g},{n}) evaluation kept "
                 f"{mpmath.nstr(abs(value) / abs_sum, 3)} of its term "
                 "magnitude after cancellation", CancellationWarning,
                 stacklevel=2)
-        if value == 0:
-            return LogValue.zero()
-        sign = 1 if value > 0 else -1
-        log_mag = mpmath.log(abs(value)) \
-            - (2 * g - 2 + n) * mpmath.log(frame.moments[0])
-        return LogValue(sign, +log_mag)
+        return value / frame.moments[0] ** (2 * g - 2 + n)
+
+
+def t_volume(g: int, n: int, L: Sequence, mu,
+             prec: int = DEFAULT_PREC, cache=None) -> LogValue:
+    """``t_value`` as a LogValue."""
+    return LogValue.from_number(t_value(g, n, L, mu, prec, cache), prec)
 
 
 def factorial_moment(g: int, r: int, mu,
-                     prec: int = DEFAULT_PREC, cache=None) -> LogValue:
+                     prec: int = DEFAULT_PREC, cache=None):
     """E[(N)_(r+1)] = mu^(r+1) T_{g,r+1}(mu) / T_g(mu), for g >= 2."""
     if g < 2:
         raise DomainError("cusp statistics need g >= 2 (T_{g,0} exists)")
@@ -177,16 +125,14 @@ def factorial_moment(g: int, r: int, mu,
     with mp.workprec(prec):
         mu = mpmath.mpf(mu)
         if mu == 0:
-            return LogValue.zero()
-        num = t_volume(g, r + 1, [0] * (r + 1), mu, prec, cache)
-        den = t_volume(g, 0, [], mu, prec, cache)
-        mu_pow = LogValue(1, (r + 1) * mpmath.log(mu))
-        return mu_pow * num / den
+            return mpmath.mpf(0)
+        num = t_value(g, r + 1, [0] * (r + 1), mu, prec, cache)
+        return mu ** (r + 1) * num / t_value(g, 0, [], mu, prec, cache)
 
 
 def mean_cusps(g: int, mu, prec: int = DEFAULT_PREC, cache=None):
     """E[N] as an mpf."""
-    return factorial_moment(g, 0, mu, prec, cache).to_mpf(prec)
+    return factorial_moment(g, 0, mu, prec, cache)
 
 
 @dataclass(frozen=True)
@@ -257,8 +203,7 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
             raise TailMassError(
                 f"certified tail mass {mpmath.nstr(tail / total, 5)} exceeds "
                 f"{tail_tol}; increase pmax beyond {pmax}")
-        t_g = t_volume(g, 0, [], mu, prec, cache)
-        raw_mass = float(mpmath.exp(mpmath.log(total) - t_g.log_magnitude))
+        raw_mass = float(total / t_value(g, 0, [], mu, prec, cache))
         probs = tuple(float(w / total) for w in weights)
         return CuspPmf(probs=probs, raw_mass=raw_mass,
                        tail_bound=float(tail / total))
@@ -297,7 +242,7 @@ def solve_mu_for_target(g: int, n_target, prec: int = DEFAULT_PREC,
 
         def fdf(mu):
             m1 = mean_cusps(g, mu, prec, cache)
-            m2 = factorial_moment(g, 1, mu, prec, cache).to_mpf(prec)
+            m2 = factorial_moment(g, 1, mu, prec, cache)
             return m1 - n_target, (m2 + m1 - m1 * m1) / mu
 
         x0 = seed if 0 < seed < hi else hi / 2
@@ -309,8 +254,8 @@ def solve_mu_for_target(g: int, n_target, prec: int = DEFAULT_PREC,
 def concentration_ratio(g: int, mu, prec: int = DEFAULT_PREC, cache=None):
     """Var(N) / E[N]^2 from the first two factorial moments."""
     with mp.workprec(prec):
-        m1 = factorial_moment(g, 0, mu, prec, cache).to_mpf(prec)
-        m2 = factorial_moment(g, 1, mu, prec, cache).to_mpf(prec)
+        m1 = factorial_moment(g, 0, mu, prec, cache)
+        m2 = factorial_moment(g, 1, mu, prec, cache)
         if m1 == 0:
             raise DomainError("mean is zero at mu=0; ratio undefined")
         return +((m2 + m1 - m1 * m1) / (m1 * m1))
@@ -327,9 +272,8 @@ def boundary_ratio(g: int, n: int, L: Sequence, mu,
     with mp.workprec(prec):
         scale = mpmath.sqrt(-frame.moments[1] / (3 * frame.moments[0]))
         scaled = [mpmath.mpf(x) * scale for x in L]
-        num = t_volume(g, n, scaled, mu, prec, cache)
-        den = t_volume(g, n, [0] * n, mu, prec, cache)
-        ratio = (num / den).to_mpf(prec)
+        ratio = (t_value(g, n, scaled, mu, prec, cache)
+                 / t_value(g, n, [0] * n, mu, prec, cache))
         target = mpmath.mpf(1)
         for x in L:
             x = mpmath.mpf(x)
@@ -360,7 +304,7 @@ def separating_decompositions(g: int, r: int, q: int):
 
 
 def separating_sum(g: int, r: int, q: int, mu,
-                   prec: int = DEFAULT_PREC, cache=None) -> LogValue:
+                   prec: int = DEFAULT_PREC, cache=None):
     """(M_0^r T_g(mu))^-1 sum over decompositions of prod T_{g_i,n_i}(mu).
 
     The diagnostic upper-bound sum for separating multicurves with r
@@ -368,16 +312,11 @@ def separating_sum(g: int, r: int, q: int, mu,
     """
     decomps = separating_decompositions(g, r, q)
     if not decomps:
-        return LogValue.zero()
+        return mpmath.mpf(0)
     frame = cached_frame(mu, 1, prec)
-    total = LogValue.zero()
-    for seq in sorted(decomps):
-        term = None
-        for g_i, n_i in seq:
-            f = t_volume(g_i, n_i, [0] * n_i, mu, prec, cache)
-            term = f if term is None else term * f
-        total = total + term
-    t_g = t_volume(g, 0, [], mu, prec, cache)
     with mp.workprec(prec):
-        m0_pow = LogValue(1, r * mpmath.log(frame.moments[0]))
-        return total / (m0_pow * t_g)
+        total = mpmath.fsum(
+            mpmath.fprod(t_value(g_i, n_i, [0] * n_i, mu, prec, cache)
+                         for g_i, n_i in seq) for seq in decomps)
+        t_g = t_value(g, 0, [], mu, prec, cache)
+        return total / (frame.moments[0] ** r * t_g)

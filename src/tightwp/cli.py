@@ -210,7 +210,7 @@ def cmd_cusps(cfg: RunConfig, args) -> int:
     if mu is None:
         raise DomainError("cusps needs --mu, --mu-gap or --target")
     mean = boltzmann.mean_cusps(g, mu, prec, cfg.cache)
-    m2 = boltzmann.factorial_moment(g, 1, mu, prec, cfg.cache).to_mpf(prec)
+    m2 = boltzmann.factorial_moment(g, 1, mu, prec, cfg.cache)
     conc = boltzmann.concentration_ratio(g, mu, prec, cfg.cache)
     with mp.workprec(prec):
         muc = moments.mu_critical(prec)

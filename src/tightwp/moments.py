@@ -1,21 +1,25 @@
 """Bessel moment machinery.
 
-Numeric side: the ascending-series Bessel kernel, the first zero j_0 of
-J_0, the critical fugacity mu_c = j_0 J_1(j_0) / (4 pi^2), the root
-R(mu) of Z(., mu), the moments M_k(mu) and the two limit-law constants.
-Every argument that reaches the Bessel series satisfies x <= j_0 < 2.41,
-where the series is rapidly convergent, so no asymptotic expansions are
-needed.  Monotone equations are solved by _newton_root, a Newton
-iteration that keeps a bracket around the root and bisects when a Newton
-step would leave it; the layer's derivatives are all in closed form.
+With c = -2 pi^2, F(r) = sum c^m r^(m+1) / (m! (m+1)!) and
+f_k(r) = sum c^(m+k) r^m / (m! (m+k)!), the root R(mu) solves F(R) = mu
+and the moments are M_k = f_k(R); F(r) = sqrt(r)/(sqrt(2) pi)
+J_1(2 pi sqrt(2 r)) and f_k(r) = (-sqrt(2) pi / sqrt(r))^k
+J_k(2 pi sqrt(2 r)).
+
+Numeric side: one series routine, _f, gives every value: Z(r, mu) =
+F(r) - mu = r f_1(r)/c - mu and its slope f_0(r), mu_c = F(r_max) with
+r_max = j_0^2/(8 pi^2), the moments M_k = f_k(R), and through
+J_1(j_0) = 4 pi^2 mu_c / j_0 the constant alpha1.  Only j_0, the first
+zero of J_0, comes from mpmath.  Monotone equations are solved by
+_newton_root, a Newton iteration that keeps a bracket around the root
+and bisects when a Newton step would leave it; the layer's derivatives
+are all in closed form.
 
 Exact side: the formal mu-series of R and of every M_k, each a MuSeries
 of single-power-of-pi^2 coefficients (int numerators over one common
 denominator, so products and sums run on ints), plus the extraction of
 classical Weil-Petersson volumes V_{g,n+p}(0) from the cusp generating
-function.  With c = -2 pi^2, F(r) = sum c^m r^(m+1) / (m! (m+1)!) and
-f_k(r) = sum c^(m+k) r^m / (m! (m+k)!), mu = F(R) and M_k = f_k(R).
-Since F' = f_0, f_k' = f_(k+1) and r f_1 = c F, the series obey
+function.  Since F' = f_0, f_k' = f_(k+1) and r f_1 = c F, the series obey
 (i) R' M_0 = 1 and (ii) (M_0^2)' R = 2 c mu, so M_0' R = c mu R'.  Each
 gives the next coefficient of R or M_0 from one int dot product, O(p^2)
 to order p in all.  Then M_(k+1) = M_0 M_k', so the ratios m_k = M_k/M_0
@@ -71,46 +75,37 @@ def _newton_root(fdf, lo, hi, x0, rel_tol):
         last = step
 
 
-def bessel_j(k: int, x, prec: int = DEFAULT_PREC):
-    """J_k(x) by the ascending series, for 0 <= x <= 10.
+def _f(k: int, r, prec: int):
+    """f_k(r) = sum_m c^(m+k) r^m / (m! (m+k)!) with c = -2 pi^2, at
+    prec + 16 bits.
 
-    Terms are added until they underflow the working precision, which
-    carries 16 guard bits over the requested one.
+    Terms are added until one falls below 2^-(prec+8) of the sum.  For
+    0 <= r <= 1, which holds the bracket [0, r_max], no term exceeds 2^9
+    times the first, c^k/k!, so rounding costs at most about 10 of the 16
+    guard bits, measured against that first term.
     """
-    if k < 0:
-        raise DomainError("bessel_j needs k >= 0")
     with mp.workprec(prec + 16):
-        x = mpmath.mpf(x)
-        if x < 0 or x > 10:
-            raise DomainError(f"bessel_j argument {x} outside [0, 10]")
-        half = x / 2
-        term = half ** k / mpmath.factorial(k)
-        total = term
-        h2 = half * half
-        m = 0
+        c = -2 * mp.pi ** 2
+        cr = c * r
+        term = total = c ** k / mpmath.factorial(k)
         cutoff = mpmath.mpf(2) ** (-(prec + 8))
-        while True:
+        m = 0
+        while abs(term) > cutoff * (abs(total) + cutoff):
             m += 1
-            term = -term * h2 / (m * (m + k))
+            term = term * cr / (m * (m + k))
             total += term
-            if abs(term) <= cutoff * (abs(total) + cutoff):
-                break
-    with mp.workprec(prec):
-        return +total
+        return total
 
 
 def z_value(r, mu, prec: int = DEFAULT_PREC):
-    """Z(r, mu) = sqrt(r)/(sqrt(2) pi) J_1(2 pi sqrt(2 r)) - mu."""
+    """Z(r, mu) = F(r) - mu = r f_1(r)/c - mu, for 0 <= r <= 1; F is
+    sqrt(r)/(sqrt(2) pi) J_1(2 pi sqrt(2 r)) as a power series in r."""
     with mp.workprec(prec + 16):
         r = mpmath.mpf(r)
         mu = mpmath.mpf(mu)
-        if r < 0:
-            raise DomainError("Z needs r >= 0")
-        if r == 0:
-            return +(-mu)
-        arg = 2 * mp.pi * mpmath.sqrt(2 * r)
-        val = mpmath.sqrt(r) / (mpmath.sqrt(2) * mp.pi) \
-            * bessel_j(1, arg, prec + 16) - mu
+        if not 0 <= r <= 1:
+            raise DomainError(f"Z needs 0 <= r <= 1, got r={r}")
+        val = r * _f(1, r, prec) / (-2 * mp.pi ** 2) - mu
     with mp.workprec(prec):
         return +val
 
@@ -123,13 +118,15 @@ def find_j0(prec: int = DEFAULT_PREC):
         return mpmath.besseljzero(0, 1)
 
 
+@functools.cache
 def mu_critical(prec: int = DEFAULT_PREC):
-    """mu_c = j_0 J_1(j_0) / (4 pi^2) = 0.0316..."""
-    with mp.workprec(prec + 16):
-        j0 = find_j0(prec)
-        val = j0 * bessel_j(1, j0, prec + 16) / (4 * mp.pi ** 2)
-    with mp.workprec(prec):
-        return +val
+    """mu_c = F(r_max) = j_0 J_1(j_0) / (4 pi^2) = 0.0316..., cached per
+    precision, since every root solve and frame reads it.
+
+    F' = f_0 vanishes at r_max, so rounding r_max to prec bits moves
+    F(r_max) by a second-order amount only.
+    """
+    return z_value(r_max(prec), 0, prec)
 
 
 def r_max(prec: int = DEFAULT_PREC):
@@ -145,8 +142,8 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
     """The unique root of Z(., mu) in [0, r_max = j_0^2/(8 pi^2)], by
     Newton's method (_newton_root).
 
-    On the bracket Z is strictly increasing, dZ/dr = J_0(2 pi sqrt(2r))
-    > 0, and concave, with Z(0, mu) = -mu <= 0 and Z(r_max, mu) =
+    On the bracket Z is strictly increasing, dZ/dr = f_0(r) =
+    J_0(2 pi sqrt(2r)) > 0, and concave, with Z(0, mu) = -mu <= 0 and Z(r_max, mu) =
     mu_c - mu >= 0.  Since dZ/dr vanishes at r_max, the root is nearly
     double for mu close to mu_c, and Newton started far from it would
     only halve the error per step.  It starts instead from the larger of
@@ -158,7 +155,7 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
     with mp.workprec(prec + 16):
         mu = mpmath.mpf(mu)
         muc = mu_critical(prec)
-        if mu < 0 or mu > muc * (1 + mpmath.mpf(2) ** (-prec + 4)):
+        if not 0 <= mu <= muc * (1 + mpmath.mpf(2) ** (-prec + 4)):
             raise DomainError(f"mu={mu} outside [0, mu_c]")
         if mu == 0:
             return mpmath.mpf(0)
@@ -167,8 +164,7 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
             return hi
 
         def fdf(r):
-            slope = bessel_j(0, 2 * mp.pi * mpmath.sqrt(2 * r), prec)
-            return z_value(r, mu, prec), slope
+            return z_value(r, mu, prec), _f(0, r, prec)
 
         x0 = max(mu, hi - mpmath.sqrt((muc - mu) * hi / muc) / mp.pi)
         return _newton_root(fdf, mpmath.mpf(0), hi, x0,
@@ -176,48 +172,23 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
 
 
 def moment(k: int, mu, prec: int = DEFAULT_PREC):
-    """M_k(mu) = (-sqrt(2) pi / sqrt(R))^k J_k(2 pi sqrt(2 R)) at R = R(mu).
-
-    The removable singularity at R = 0 switches to the series form
-    sum_m (-2 pi^2)^(m+k) R^m / (m! (m+k)!), whose m = 0 term is the
-    limit M_k(0) = (-2 pi^2)^k / k!.
-    """
+    """M_k(mu) = f_k(R) at R = R(mu); M_k(0) = (-2 pi^2)^k / k!."""
     if k < 0:
         raise DomainError("moment index must be >= 0")
-    return _moment_at_r(k, solve_r(mu, prec), prec)
-
-
-def _moment_at_r(k: int, r, prec: int):
-    """M_k at a given root r = R(mu); see moment()."""
-    with mp.workprec(prec + 16):
-        if r < mpmath.mpf("1e-8"):
-            c = (-2 * mp.pi ** 2)
-            term = c ** k / mpmath.factorial(k)
-            total = term
-            m = 0
-            cutoff = mpmath.mpf(2) ** (-(prec + 8))
-            while True:
-                m += 1
-                term = term * c * r / (m * (m + k))
-                total += term
-                if abs(term) <= cutoff * (abs(total) + cutoff):
-                    break
-            with mp.workprec(prec):
-                return +total
-        arg = 2 * mp.pi * mpmath.sqrt(2 * r)
-        pref = (-mpmath.sqrt(2) * mp.pi / mpmath.sqrt(r)) ** k
-        val = pref * bessel_j(k, arg, prec + 16)
+    val = _f(k, solve_r(mu, prec), prec)
     with mp.workprec(prec):
         return +val
 
 
 def alpha1(prec: int = DEFAULT_PREC):
-    """Normalization constant sqrt((6/pi) sqrt(2 j_0 / J_1(j_0)))."""
+    """Normalization constant sqrt((6/pi) sqrt(2 j_0 / J_1(j_0))).
+
+    With J_1(j_0) = 4 pi^2 mu_c / j_0 and r_max = j_0^2 / (8 pi^2) this is
+    sqrt((12/pi) sqrt(r_max / mu_c)).
+    """
     with mp.workprec(prec + 16):
-        j0 = find_j0(prec)
-        val = mpmath.sqrt(6 / mp.pi
-                          * mpmath.sqrt(2 * j0
-                                        / bessel_j(1, j0, prec + 16)))
+        val = mpmath.sqrt(12 / mp.pi
+                          * mpmath.sqrt(r_max(prec) / mu_critical(prec)))
     with mp.workprec(prec):
         return +val
 
@@ -261,7 +232,7 @@ def make_frame(mu, d_max: int, prec: int = DEFAULT_PREC) -> MomentFrame:
         raise DomainError("d_max must be >= 0")
     with mp.workprec(prec + 16):
         mu = mpmath.mpf(mu)
-        if mu < 0 or mu >= mu_critical(prec):
+        if not 0 <= mu < mu_critical(prec):
             raise DomainError(f"mu={mu} outside [0, mu_c)")
         r = solve_r(mu, prec)
     return _resized(MomentFrame(mu=mu, r_value=r, moments=(),
@@ -272,10 +243,10 @@ def _resized(frame: MomentFrame, d_max: int) -> MomentFrame:
     """The frame at the same mu and R(mu) holding M_0..M_{d_max}: a prefix
     of frame's moments, extended at frame.r_value where it is too short.
     A moment depends on R alone, so the values do not depend on d_max."""
-    have = frame.moments
-    moms = have[:d_max + 1] + tuple(
-        _moment_at_r(k, frame.r_value, frame.precision)
-        for k in range(len(have), d_max + 1))
+    have, prec = frame.moments, frame.precision
+    wide = [_f(k, frame.r_value, prec) for k in range(len(have), d_max + 1)]
+    with mp.workprec(prec):
+        moms = have[:d_max + 1] + tuple(+v for v in wide)
     return MomentFrame(mu=frame.mu, r_value=frame.r_value, moments=moms,
                        precision=frame.precision)
 

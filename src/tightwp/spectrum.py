@@ -20,7 +20,7 @@ from typing import Sequence
 import mpmath
 from mpmath import mp
 
-from tightwp.boltzmann import cusp_pmf, t_volume
+from tightwp.boltzmann import cusp_pmf, t_value
 from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
@@ -51,7 +51,7 @@ def intensity(a, b, prec: int = DEFAULT_PREC):
     with mp.workprec(prec + 16):
         a = mpmath.mpf(a)
         b = mpmath.mpf(b)
-        if a < 0 or a > b:
+        if not 0 <= a <= b:
             raise DomainError(f"need 0 <= a <= b, got ({a}, {b})")
         if a == b:
             return mpmath.mpf(0)
@@ -104,7 +104,7 @@ def systole_tail(t, prec: int = DEFAULT_PREC):
     """P(X >= t) = exp(-lambda_{0,t}) for the limiting systole law."""
     with mp.workprec(prec):
         t = mpmath.mpf(t)
-        if t < 0:
+        if not t >= 0:
             raise DomainError("systole tail needs t >= 0")
         return +mpmath.exp(-intensity(0, t, prec))
 
@@ -144,7 +144,7 @@ class IntervalSet:
         prev_b = None
         for a, b in ivs:
             # degenerate a == b is tolerated (zero-width windows count 0)
-            if a < 0 or a > b:
+            if not 0 <= a <= b < math.inf:
                 raise DomainError(f"bad interval ({a}, {b})")
             if prev_b is not None and not prev_b < a:
                 raise DomainError("intervals must be disjoint and ordered")
@@ -218,7 +218,8 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     grouped by ell-key, from the coefficients the cell holds as mpf
     (``PolyCell.mpf_coeffs``), and the group with key l is weighted by
     prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
-    T_g(mu) is ``boltzmann.t_volume`` at (g, 0).
+    T_g(mu) is ``boltzmann.t_value`` at (g, 0), so the count is one
+    plain mpf quotient.
     """
     r = windows.total_order
     if g - r < 0 or not admissible(g - r, 2 * r):
@@ -251,7 +252,7 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
                 t *= w_table[i][key[2 * i] + key[2 * i + 1]]
             total += t
         # P_{g-r,2r} over M_0^(2g-2) is T_{g-r,2r}, since 2(g-r)-2+2r = 2g-2
-        t_g = t_volume(g, 0, [], mu, prec, cache).to_mpf(prec)
+        t_g = t_value(g, 0, [], mu, prec, cache)
         return +(total / frame.moments[0] ** (2 * g - 2) / t_g
                  / mpmath.mpf(2) ** r)
 
@@ -266,7 +267,7 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
     The limit regime needs mu_c - mu_g = o(g^-2), hence the beta > 2
     gate; pass allow_small_beta=True to explore outside it anyway.
     """
-    if beta <= 2 and not allow_small_beta:
+    if not beta > 2 and not allow_small_beta:
         raise DomainError(
             f"beta={beta} rejected: the limit law needs mu_c - mu_g "
             "= o(g^-2), i.e. beta > 2 (use the override to explore)")

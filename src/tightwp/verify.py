@@ -362,7 +362,7 @@ def criterion_cusp_statistics(cache=None) -> CriterionResult:
         fm = boltzmann.factorial_moment(6, r, mu, prec=PREC, cache=cache)
         with mp.workprec(PREC):
             target = (5 * 6 * muc / (2 * (muc - mu))) ** (r + 1)
-        ratio = float(fm.to_mpf(PREC) / target)
+        ratio = float(fm / target)
         checks.append(Check(
             f"factorial moment ratio within 10% at g=6, r={r}",
             abs(ratio - 1) < 0.10, f"ratio = {ratio:.4f}", "|r - 1| < 0.10"))
@@ -383,8 +383,8 @@ def criterion_cusp_statistics(cache=None) -> CriterionResult:
     for (g, mu) in [(2, muc / 2), (3, muc / 3), (3, muc / 2)]:
         pmf = boltzmann.cusp_pmf(g, mu, prec=PREC, cache=cache)
         ok = abs(pmf.raw_mass - 1) < 1e-12
-        m1 = boltzmann.factorial_moment(g, 0, mu, PREC, cache).to_mpf(PREC)
-        m2 = boltzmann.factorial_moment(g, 1, mu, PREC, cache).to_mpf(PREC)
+        m1 = boltzmann.factorial_moment(g, 0, mu, PREC, cache)
+        m2 = boltzmann.factorial_moment(g, 1, mu, PREC, cache)
         rel1 = abs(pmf.mean() / float(m1) - 1)
         rel2 = abs(pmf.factorial_moment(2) / float(m2) - 1)
         checks.append(Check(
@@ -425,7 +425,7 @@ def criterion_separating_suppression(cache=None) -> CriterionResult:
     for g in range(4, 11):
         s = boltzmann.separating_sum(g, 1, 2, muc - mpmath.mpf(g) ** -3,
                                      prec=PREC, cache=cache)
-        vals.append(float(s.to_mpf(PREC) * g))
+        vals.append(float(s * g))
     band = max(vals) / min(vals)
     check = Check("separating_sum(g,1,2) * g within a factor-3 band, "
                   "g=4..10", band < 3.0,

@@ -1,4 +1,4 @@
-"""Boltzmann cusp statistics: log-domain values, generating-function
+"""Boltzmann cusp statistics: T_{g,n} values, generating-function
 evaluations and their classical degenerations."""
 
 import gc
@@ -20,11 +20,10 @@ PREC = 113
 
 class TestLogValue:
     def test_zero_and_sign_rules(self):
-        z = LogValue.zero()
-        a = LogValue.from_number(-3.0)
-        assert z.is_zero and (z * a).is_zero and (a * z).is_zero
-        assert (a + z).sign == -1
-        assert (a * a).sign == 1
+        z = LogValue.from_number(0)
+        assert z.sign == 0 and z.log_magnitude == mpmath.mpf("-inf")
+        assert z.to_mpf(PREC) == 0
+        assert LogValue.from_number(-3.0).sign == -1
 
     def test_round_trip(self):
         for x in ("-1234.5", "0.00025", "7"):
@@ -32,29 +31,12 @@ class TestLogValue:
             assert abs(v.to_mpf(PREC) - mpmath.mpf(x)) < 1e-20 * abs(
                 mpmath.mpf(x))
 
-    def test_addition_max_shift(self):
-        with mp.workprec(PREC):
-            a = LogValue.from_number(3.0, PREC)
-            b = LogValue.from_number(4.0, PREC)
-            assert abs((a + b).to_mpf(PREC) - 7) < 1e-25
-            c = LogValue.from_number(-4.0, PREC)
-            assert abs((a + c).to_mpf(PREC) + 1) < 1e-25
-            assert (b + c).is_zero
-
-    def test_division(self):
-        with mp.workprec(PREC):
-            a = LogValue.from_number(10.0, PREC)
-            b = LogValue.from_number(-4.0, PREC)
-            assert abs((a / b).to_mpf(PREC) + 2.5) < 1e-25
-        with pytest.raises(ZeroDivisionError):
-            a / LogValue.zero()
-
     def test_float_overflow_guard(self):
         huge = LogValue(1, mpmath.mpf(10_000))
         with pytest.raises(OverflowError):
             huge.to_float()
         assert LogValue.from_number(2.0).to_float() == pytest.approx(2.0)
-        assert LogValue.zero().to_float() == 0.0
+        assert LogValue.from_number(0).to_float() == 0.0
 
 
 class TestTVolume:
@@ -104,6 +86,9 @@ class TestTVolume:
             boltzmann.t_volume(2, 1, [], 0.01, PREC)
         with pytest.raises(DomainError):
             boltzmann.t_volume(2, 0, [], 0.05, PREC)
+        for length in (-1.0, math.nan):
+            with pytest.raises(DomainError):
+                boltzmann.t_volume(2, 1, [length], 0.01, PREC)
 
 
 def _per_term_eval(poly, ell_values, m_values, prec):
@@ -276,7 +261,7 @@ class TestEllGroups:
 
 class TestFactorialMoments:
     def test_zero_at_mu_zero(self):
-        assert boltzmann.factorial_moment(2, 0, 0.0, PREC).is_zero
+        assert boltzmann.factorial_moment(2, 0, 0.0, PREC) == 0
 
     def test_needs_genus_at_least_two(self):
         with pytest.raises(DomainError):
@@ -291,8 +276,8 @@ class TestFactorialMoments:
     def test_concentration_identity_and_positivity(self):
         muc = moments.mu_critical(PREC)
         mu = muc / 2
-        m1 = boltzmann.factorial_moment(3, 0, mu, PREC).to_mpf(PREC)
-        m2 = boltzmann.factorial_moment(3, 1, mu, PREC).to_mpf(PREC)
+        m1 = boltzmann.factorial_moment(3, 0, mu, PREC)
+        m2 = boltzmann.factorial_moment(3, 1, mu, PREC)
         cr = boltzmann.concentration_ratio(3, mu, PREC)
         assert cr >= 0
         with mp.workprec(PREC):
@@ -307,7 +292,7 @@ class TestCuspPmf:
         assert 1 - 1e-12 <= pmf.raw_mass <= 1 + 1e-12
         mean = boltzmann.mean_cusps(2, muc / 2, PREC)
         assert abs(pmf.mean() / float(mean) - 1) < 1e-8
-        m2 = boltzmann.factorial_moment(2, 1, muc / 2, PREC).to_mpf(PREC)
+        m2 = boltzmann.factorial_moment(2, 1, muc / 2, PREC)
         assert abs(pmf.factorial_moment(2) / float(m2) - 1) < 1e-8
 
     def test_volumes_built_once_across_mu(self, monkeypatch):
@@ -387,13 +372,11 @@ class TestSeparating:
         assert got == [((k, 1), (10 - k, 1)) for k in range(1, 10)]
 
     def test_empty_enumeration_gives_zero(self):
-        v = boltzmann.separating_sum(2, 2, 3, 0.01, PREC)
-        assert v.is_zero
+        assert boltzmann.separating_sum(2, 2, 3, 0.01, PREC) == 0
 
     def test_positive(self):
         muc = moments.mu_critical(PREC)
-        v = boltzmann.separating_sum(4, 1, 2, muc / 2, PREC)
-        assert v.sign == 1
+        assert boltzmann.separating_sum(4, 1, 2, muc / 2, PREC) > 0
 
     def test_validations(self):
         with pytest.raises(DomainError):

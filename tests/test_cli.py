@@ -120,6 +120,12 @@ class TestVolumes:
         obj = json.loads(out)
         assert float(obj["value"]) == pytest.approx(0.8224670334, rel=1e-9)
 
+    def test_negative_length_is_refused(self, capsys):
+        code, _, err = run(capsys, "volumes", "-g", "2", "-n", "1",
+                           "--L=-1", "--mu", "0.01")
+        assert code == 2
+        assert "boundary lengths" in err
+
     def test_extraction_mode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "volumes", "-g", "0",
                            "-n", "3", "--pmax", "1")
@@ -152,6 +158,19 @@ class TestSpectrum:
                              "--allow-beta")
         assert code == 0
         assert "warning" in err
+
+
+class TestNanInput:
+    @pytest.mark.parametrize("argv", [
+        ["moments", "--mu", "nan"],
+        ["cusps", "-g", "2", "--mu", "nan"],
+        ["volumes", "-g", "2", "-n", "0", "--mu-gap", "nan"],
+        ["spectrum", "--g-range", "3:3", "--beta", "3", "--windows", "nan:1"],
+    ], ids=["moments", "cusps", "volumes", "spectrum"])
+    def test_exits_two(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "error" in err
 
 
 class TestSample:

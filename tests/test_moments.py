@@ -1,4 +1,4 @@
-"""Bessel kernel, critical constants, moment solver and exact series."""
+"""Series kernel, critical constants, moment solver and exact series."""
 
 import functools
 import math
@@ -16,22 +16,44 @@ PREC = 113
 
 
 class TestBessel:
+    """The series f_k(r) against mpmath's Bessel functions:
+    J_k(x) = (-sqrt(r) / (sqrt(2) pi))^k f_k(r) at r = x^2 / (8 pi^2)."""
+
     @pytest.mark.parametrize("k", [0, 1, 2, 5])
     @pytest.mark.parametrize("x", ["0", "0.5", "2.40482555", "7.3", "10"])
     def test_matches_independent_library_evaluation(self, k, x):
         with mp.workprec(PREC):
-            mine = moments.bessel_j(k, mpmath.mpf(x), PREC)
-            ref = mpmath.besselj(k, mpmath.mpf(x))
+            x = mpmath.mpf(x)
+            r = x ** 2 / (8 * mp.pi ** 2)
+            mine = (-mpmath.sqrt(r) / (mpmath.sqrt(2) * mp.pi)) ** k \
+                * moments._f(k, r, PREC)
+            ref = mpmath.besselj(k, x)
             assert abs(mine - ref) <= mpmath.mpf(2) ** -100 * (1 + abs(ref))
 
     def test_j0_at_zero(self):
-        assert moments.bessel_j(0, 0, PREC) == 1
+        assert moments._f(0, mpmath.mpf(0), PREC) == 1
+        assert moments.z_value(0, 0, PREC) == 0
 
     def test_domain(self):
+        for r in (-0.5, 1.5, math.nan):
+            with pytest.raises(DomainError):
+                moments.z_value(r, 0, PREC)
         with pytest.raises(DomainError):
-            moments.bessel_j(0, 10.5, PREC)
-        with pytest.raises(DomainError):
-            moments.bessel_j(-1, 1.0, PREC)
+            moments.moment(-1, 0.01, PREC)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 20, 21])
+    @pytest.mark.parametrize("frac", ["1e-4", "0.1", "0.5", "0.9", "0.99999",
+                                      "0.9999999999"])
+    def test_moment_matches_library_bessel(self, frac, k):
+        # M_k = (-sqrt(2) pi / sqrt(R))^k J_k(2 pi sqrt(2 R)) at R = R(mu)
+        with mp.workprec(PREC + 16):
+            mu = moments.mu_critical(PREC) * mpmath.mpf(frac)
+        r = moments.solve_r(mu, PREC)
+        got = moments.moment(k, mu, PREC)
+        with mp.workprec(PREC + 64):
+            ref = (-mpmath.sqrt(2) * mp.pi / mpmath.sqrt(r)) ** k \
+                * mpmath.besselj(k, 2 * mp.pi * mpmath.sqrt(2 * r))
+            assert abs(got / ref - 1) <= mpmath.mpf(2) ** -105
 
 
 class TestConstants:
@@ -39,13 +61,16 @@ class TestConstants:
         j0 = moments.find_j0(PREC)
         assert mpmath.nstr(j0, 16) == "2.404825557695773"
         assert 2.40 < j0 < 2.41
-        assert abs(moments.bessel_j(0, j0, PREC)) < 1e-12
         with mp.workprec(PREC):
+            assert abs(mpmath.besselj(0, j0)) < 1e-12
             assert abs(j0 - mpmath.besseljzero(0, 1)) < mpmath.mpf(2) ** -105
 
     def test_j1_at_j0(self):
+        # J_1(j_0) = 4 pi^2 mu_c / j_0, with mu_c = F(r_max) from the series
         j0 = moments.find_j0(PREC)
-        v = moments.bessel_j(1, j0, PREC)
+        with mp.workprec(PREC):
+            v = 4 * mp.pi ** 2 * moments.mu_critical(PREC) / j0
+            assert abs(v / mpmath.besselj(1, j0) - 1) < mpmath.mpf(2) ** -105
         assert mpmath.nstr(v, 16) == "0.5191474972894668"
 
     def test_mu_critical_digits(self):
@@ -88,6 +113,8 @@ class TestSolveR:
             moments.solve_r(-0.01, PREC)
         with pytest.raises(DomainError):
             moments.solve_r(0.04, PREC)
+        with pytest.raises(DomainError):
+            moments.solve_r(math.nan, PREC)
 
     def test_dz_dr_is_bessel_j0(self):
         with mp.workprec(PREC):
@@ -96,8 +123,7 @@ class TestSolveR:
                 r = mpmath.mpf(r)
                 fd = (moments.z_value(r + h, 0, PREC)
                       - moments.z_value(r - h, 0, PREC)) / (2 * h)
-                ref = moments.bessel_j(0, 2 * mp.pi * mpmath.sqrt(2 * r),
-                                       PREC)
+                ref = mpmath.besselj(0, 2 * mp.pi * mpmath.sqrt(2 * r))
                 assert abs(fd - ref) < 1e-6 * (1 + abs(ref))
 
 
@@ -188,7 +214,7 @@ class TestMoments:
         muc = moments.mu_critical(PREC)
         with mp.workprec(PREC):
             j0 = moments.find_j0(PREC)
-            want = -4 * mp.pi ** 2 * moments.bessel_j(1, j0, PREC) / j0
+            want = -4 * mp.pi ** 2 * mpmath.besselj(1, j0) / j0
             got = moments.moment(1, muc, PREC)
             assert abs(got - want) < mpmath.mpf(2) ** -80 * abs(want)
 
@@ -205,7 +231,7 @@ class TestMoments:
         muc = moments.mu_critical(PREC)
         with mp.workprec(PREC):
             j0 = moments.find_j0(PREC)
-            scale = 8 * mp.pi ** 2 * moments.bessel_j(1, j0, PREC) / j0
+            scale = 8 * mp.pi ** 2 * mpmath.besselj(1, j0) / j0
             gaps = []
             for e in (4, 6, 8, 10):
                 gap = mpmath.mpf(10) ** -e
@@ -222,6 +248,8 @@ class TestMoments:
         assert abs(moments.z_value(frame.r_value, frame.mu, PREC)) < 1e-25
         with pytest.raises(DomainError):
             moments.make_frame(0.032, 2, PREC)  # above mu_c
+        with pytest.raises(DomainError):
+            moments.make_frame(math.nan, 2, PREC)
 
     def test_m_ratios_at_frame_precision(self):
         prec = 256

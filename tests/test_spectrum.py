@@ -47,6 +47,9 @@ class TestIntensity:
             spectrum.intensity(2, 1, PREC)
         with pytest.raises(DomainError):
             spectrum.intensity(-1, 1, PREC)
+        for a, b in ((math.nan, 1), (0, math.nan)):
+            with pytest.raises(DomainError):
+                spectrum.intensity(a, b, PREC)
 
     def test_float_kernel_consistency(self):
         for t in (0.5, 1.0, 3.0, 6.0):
@@ -83,6 +86,8 @@ class TestSystole:
     def test_domain(self):
         with pytest.raises(DomainError):
             spectrum.systole_tail(-1, PREC)
+        with pytest.raises(DomainError):
+            spectrum.systole_tail(math.nan, PREC)
 
 
 class TestNormalization:
@@ -96,6 +101,10 @@ class TestNormalization:
         muc = moments.mu_critical(PREC)
         c, alt = spectrum.normalization(muc - mpmath.mpf("1e-8"), PREC)
         assert 0.99 < float(c / alt) < 1.01
+
+    def test_domain(self):
+        with pytest.raises(DomainError):
+            spectrum.normalization(math.nan, PREC)
 
 
 class TestIntervalSet:
@@ -115,6 +124,9 @@ class TestIntervalSet:
             IntervalSet.make([(0.0, 1.0)], [0])
         with pytest.raises(DomainError):
             IntervalSet.parse("1:2:3:4")
+        for bad in ((1.0, math.inf), (math.nan, 1.0), (0.0, math.nan)):
+            with pytest.raises(DomainError):
+                IntervalSet.make([bad])
 
     def test_lambda_product(self):
         ws = IntervalSet.parse("1:2:2")
@@ -152,11 +164,11 @@ class TestExpectedCounts:
         count = spectrum.expected_nonseparating_count(g, mu, ws, PREC)
         with mp.workprec(90):
             c, _ = spectrum.normalization(mu, 90)
-            t_g = boltzmann.t_volume(g, 0, [], mu, 90)
+            t_g = boltzmann.t_value(g, 0, [], mu, 90)
 
             def integrand(x):
-                t = boltzmann.t_volume(g - 1, 2, [x, x], mu, 90)
-                return (t / t_g).to_mpf(90) * x / 2
+                t = boltzmann.t_value(g - 1, 2, [x, x], mu, 90)
+                return t / t_g * x / 2
 
             quad = mp.quad(integrand, [c * 1, c * 2])
             assert abs(float(count / quad) - 1) < 1e-8
