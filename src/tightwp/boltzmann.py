@@ -51,16 +51,6 @@ class LogValue:
                 return mpmath.mpf(0)
             return self.sign * mpmath.exp(self.log_magnitude)
 
-    def to_float(self) -> float:
-        """Plain float with an overflow guard."""
-        if self.sign == 0:
-            return 0.0
-        log_mag = float(self.log_magnitude)
-        if log_mag > 700:
-            raise OverflowError(
-                f"LogValue magnitude exp({log_mag:.1f}) exceeds float range")
-        return self.sign * math.exp(log_mag)
-
 
 def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     """(frame, groups): the moment frame at mu and ``TightPoly.ell_groups``

@@ -9,6 +9,7 @@ seeded explicitly; reports are deterministic for a fixed RunConfig.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -62,9 +63,9 @@ def _emit(cfg: RunConfig, obj, rows=None, header=None, text_lines=None):
         if rows is None:
             rows = [[json.dumps(obj)]]
             header = ["json"]
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+        out = csv.writer(sys.stdout, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(rows)
     else:
         for line in (text_lines if text_lines is not None
                      else [json.dumps(obj, indent=2, sort_keys=True)]):

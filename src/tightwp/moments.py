@@ -37,7 +37,7 @@ from mpmath import mp
 
 from tightwp import tightpoly
 from tightwp.errors import DomainError
-from tightwp.ring import DEFAULT_PREC, MuSeries, Rational
+from tightwp.ring import DEFAULT_PREC, MuSeries, PiPoly
 
 
 def _newton_root(fdf, lo, hi, x0, rel_tol):
@@ -348,7 +348,7 @@ def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
 
 
 def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
-    """Exact V_{g,n+p}(0) for p = 0..pmax, each a PiPoly.
+    """Exact V_{g,n+p}(0) for p = 0..pmax, each a PiPoly q pi^(2j).
 
     Expands T_{g,n}(0, mu) as a MuSeries and reads off p! [mu^p]; the
     identity T_{g,n,p}(L, 0^p) at L = 0 with V_{g,n+p}(0) makes the
@@ -365,6 +365,6 @@ def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
         series = t_volume_series(g, n, pmax, cache=cache)
         if series.order < pmax:
             raise DomainError("truncation order insufficient for pmax")
-        held[:] = [series.coeff(p) * Rational(math.factorial(p))
-                   for p in range(pmax + 1)]
+        held[:] = [PiPoly(c.q * math.factorial(p), c.j)
+                   for p, c in enumerate(series.coeffs()[:pmax + 1])]
     return held[:pmax + 1]

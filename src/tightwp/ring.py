@@ -1,16 +1,19 @@
 """Exact arithmetic tower.
 
-Four layers, each immutable after construction and safe to share across
+Four types, each immutable after construction and safe to share across
 threads:
 
 * ``Rational``     -- arbitrary-precision fractions (gmpy2.mpq, with a
                       ``fractions.Fraction`` fallback).  Always stored in
                       lowest terms with positive denominator.
-* ``PiPoly``       -- polynomials in pi^2 with Rational coefficients.
 * ``MuSeries``     -- truncated power series in mu whose coefficients are
                       single powers of pi^2: one int numerator per
                       power of mu over one common denominator, plus a
                       pi^2-degree shift; the arithmetic runs on ints.
+                      It is the one exact arithmetic type.
+* ``PiPoly``       -- the read-only value q pi^(2j) (Rational q, degree
+                      j) that ``MuSeries.coeff`` returns; every exact
+                      number the package reports has this shape.
 * ``TightPoly``    -- sparse multivariate polynomials in the squared
                       boundary lengths ell_i = L_i^2 and the moment
                       variables m_1..m_D, with Rational coefficients,
@@ -19,8 +22,8 @@ threads:
                       the closed form or the disk store, and is read
                       through ``dm``, ``ell_slice`` and ``subst_m``.
                       ``subst_m`` is the one routine that puts values
-                      (PiPoly, MuSeries or mpf) in for the m_k, grouped
-                      by ell-exponent; it takes the coefficients already
+                      (MuSeries or mpf) in for the m_k, grouped by
+                      ell-exponent; it takes the coefficients already
                       lifted into the values' type, aligned with
                       ``terms``.  A numeric evaluation is two steps:
                       ``ell_groups`` puts mpf values in for the m_k once
@@ -37,8 +40,7 @@ threads:
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
 critical fugacity span hundreds of orders of magnitude; mpmath's unbounded
-exponent makes plain evaluation safe, and the log-domain wrapper for ratio
-work lives in :mod:`tightwp.boltzmann`.
+exponent makes plain evaluation safe.
 """
 
 from __future__ import annotations
@@ -93,134 +95,49 @@ def pi_squared(prec: int = DEFAULT_PREC):
 
 
 class PiPoly:
-    """Polynomial in pi^2: map from non-negative exponent to Rational.
+    """The exact value q pi^(2j): a Rational q and a pi^2-degree j.
 
-    Zero coefficients are never stored.  Instances are immutable; all
-    arithmetic returns fresh objects.
+    Every exact number the package reports has this shape, since the
+    graded degree of a cell term fixes its power of pi.  It is what
+    ``MuSeries.coeff`` returns; ``MuSeries`` does the arithmetic, so this
+    type has none.  Zero has j = 0, so equal values have equal fields.
     """
 
-    __slots__ = ("_c",)
+    __slots__ = ("q", "j")
 
-    def __init__(self, coeffs: Mapping[int, object] | Iterable | None = None):
-        c = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for e, q in items:
-                if e < 0:
-                    raise DomainError(f"negative pi^2 exponent {e}")
-                q = q if isinstance(q, Rational) else Rational(q)
-                if q:
-                    c[int(e)] = c.get(int(e), _R0) + q
-        self._c = {e: q for e, q in c.items() if q}
+    def __init__(self, q, j: int = 0):
+        self.q = q if isinstance(q, Rational) else Rational(q)
+        self.j = j if self.q else 0
 
     @classmethod
-    def _raw(cls, c: dict) -> "PiPoly":
-        p = object.__new__(cls)
-        p._c = c
-        return p
-
-    @classmethod
-    def zero(cls) -> "PiPoly":
-        return cls._raw({})
-
-    @classmethod
-    def const(cls, q) -> "PiPoly":
-        q = q if isinstance(q, Rational) else Rational(q)
-        return cls._raw({0: q} if q else {})
-
-    @classmethod
-    def term(cls, coeff, exp: int) -> "PiPoly":
-        coeff = coeff if isinstance(coeff, Rational) else Rational(coeff)
-        if exp < 0:
-            raise DomainError(f"negative pi^2 exponent {exp}")
-        return cls._raw({exp: coeff} if coeff else {})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
+    def term(cls, q, j: int) -> "PiPoly":
+        return cls(q, j)
 
     def items(self):
-        return sorted(self._c.items())
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = dict(self._c)
-        for e, q in other._c.items():
-            s = out.get(e, _R0) + q
-            if s:
-                out[e] = s
-            else:
-                del out[e]
-        return PiPoly._raw(out)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, PiPoly):
-            out = {}
-            for ea, ca in self._c.items():
-                for eb, cb in other._c.items():
-                    e = ea + eb
-                    c = ca * cb
-                    if e in out:
-                        out[e] += c
-                    else:
-                        out[e] = c
-            return PiPoly._raw({e: c for e, c in out.items() if c})
-        if isinstance(other, (int, Rational)):
-            q = Rational(other)
-            return PiPoly._raw({e: c * q for e, c in self._c.items()}
-                               if q else {})
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, PiPoly):
-            return other
-        if isinstance(other, (int, Rational)):
-            return PiPoly.const(other)
-        return NotImplemented
+        """[(j, q)], or [] for zero."""
+        return [(self.j, self.q)] if self.q else []
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, PiPoly):
             return NotImplemented
-        return self._c == other._c
+        return (self.q, self.j) == (other.q, other.j)
 
     def __hash__(self):
-        # a constant equals its rational (see __eq__), so it hashes as one
-        if self._c.keys() <= {0}:
-            return hash(self._c.get(0, _R0))
-        return hash(frozenset(self._c.items()))
+        return hash((self.q, self.j))
 
     def eval(self, prec: int = DEFAULT_PREC):
         """Numeric value at pi^2, deterministic for a fixed precision."""
         with mp.workprec(prec):
-            p2 = pi_squared(prec)
-            total = mpmath.mpf(0)
-            for e, q in sorted(self._c.items()):
-                total += to_mpf(q, prec) * p2 ** e
-            return total
+            return to_mpf(self.q, prec) * pi_squared(prec) ** self.j
 
     def to_obj(self):
-        """Canonical serialization: [[exponent, 'num/den'], ...]."""
-        return [[e, rat_to_str(q)] for e, q in self.items()]
+        """Canonical serialization: [[j, 'num/den']], or [] for zero."""
+        return [[j, rat_to_str(q)] for j, q in self.items()]
 
     def __repr__(self):
-        if not self._c:
+        if not self.q:
             return "PiPoly(0)"
-        parts = [f"({rat_to_str(q)})*pi2^{e}" for e, q in self.items()]
-        return "PiPoly(" + " + ".join(parts) + ")"
-
-
-_PP0 = PiPoly.zero()
+        return f"PiPoly(({rat_to_str(self.q)})*pi2^{self.j})"
 
 
 class MuSeries:
@@ -230,26 +147,22 @@ class MuSeries:
     shift k, T_{g,n}(0, mu) shift 3g-3+n).  A series is stored as a tuple
     of int numerators n_j over one positive int denominator den, in lowest
     terms (den and the n_j have gcd 1), plus the shift; the zero series is
-    (0, ...), 1, 0, so equal series have equal fields.  Arithmetic runs on
-    the ints and reduces once per result; ``coeff`` turns a numerator into
-    a PiPoly.  The constructor takes PiPoly or Rational coefficients and
-    raises DomainError on a list that is not graded.  Binary operations
-    first truncate to the smaller order.
+    (0, ...), 1, 0, so equal series have equal fields.  The constructor
+    takes the rationals (or ints) c_j and the shift, which is part of the
+    value.  Arithmetic runs on the ints and reduces once per result;
+    ``coeff`` turns a numerator into a PiPoly.  Binary operations first
+    truncate to the smaller order, and a sum refuses two nonzero series of
+    different shifts.
     """
 
     __slots__ = ("_n", "_d", "_s")
 
-    def __init__(self, coeffs: Sequence, order: int | None = None):
-        rats, shifts = [], set()
-        for j, x in enumerate(_fit(list(coeffs), order)):
-            terms = x._c if isinstance(x, PiPoly) else PiPoly.const(x)._c
-            shifts.update(e - j for e in terms)
-            rats.append(next(iter(terms.values()), _R0))
-        if len(shifts) > 1:
-            raise DomainError("mu-series coefficients are not graded")
+    def __init__(self, coeffs: Sequence, order: int | None = None,
+                 shift: int = 0):
+        rats = _fit(list(coeffs), order)
         den = math.lcm(*(int(q.denominator) for q in rats))
         self._set([int(q.numerator) * (den // int(q.denominator))
-                   for q in rats], den, shifts.pop() if shifts else 0)
+                   for q in rats], den, shift)
 
     def _set(self, nums: list, den: int, shift: int):
         g = math.gcd(den, *nums)
@@ -274,8 +187,7 @@ class MuSeries:
     def coeff(self, j: int) -> PiPoly:
         if j < 0 or j > self.order:
             raise DomainError(f"coefficient index {j} out of range")
-        x = self._n[j]
-        return PiPoly.term(Rational(x, self._d), j + self._s) if x else _PP0
+        return PiPoly(Rational(self._n[j], self._d), j + self._s)
 
     def coeffs(self):
         return tuple(self.coeff(j) for j in range(self.order + 1))
@@ -304,10 +216,7 @@ class MuSeries:
 
     def __mul__(self, other):
         if isinstance(other, PiPoly):
-            if len(other._c) > 1:
-                raise DomainError("a mu-series scales by one power of pi^2")
-            e, q = next(iter(other._c.items()), (0, _R0))
-            return self._scaled(q, self._s + e)
+            return self._scaled(other.q, self._s + other.j)
         if isinstance(other, (int, Rational)):
             return self._scaled(other, self._s)
         if not isinstance(other, MuSeries):
@@ -479,9 +388,9 @@ class TightPoly:
 
         Returns {ell-exponent tuple: sum of c prod m_k^e_k} over the
         terms.  m_values[k-1] replaces m_k; ``coeffs`` holds the
-        coefficients already lifted into the values' type (PiPoly, an mpf
-        at the caller's precision, a constant MuSeries), one per term in
-        the order of ``terms``.  Each term multiplies the powers into its
+        coefficients already lifted into the values' type (a MuSeries, or
+        an mpf at the caller's precision), one per term in the order of
+        ``terms``.  Each term multiplies the powers into its
         c in variable order, each power formed once by repeated
         multiplication.
         """

@@ -24,7 +24,7 @@ import mpmath
 from mpmath import mp
 
 from tightwp import boltzmann, intersection, moments, spectrum, tightpoly
-from tightwp.ring import PiPoly, Rational, TightPoly
+from tightwp.ring import MuSeries, PiPoly, Rational, TightPoly
 
 PREC = 113
 
@@ -115,33 +115,37 @@ def criterion_polynomials(cache=None) -> CriterionResult:
 
 
 def _mu0_m_values(d: int) -> list:
-    """m_k at mu = 0: M_k(0)/M_0(0) = (-2 pi^2)^k / k!."""
-    return [PiPoly.term(Rational((-2) ** k, math.factorial(k)), k)
+    """m_k at mu = 0: M_k(0)/M_0(0) = (-2 pi^2)^k / k!, as order-0
+    MuSeries."""
+    return [MuSeries([Rational((-2) ** k, math.factorial(k))], shift=k)
             for k in range(1, d + 1)]
 
 
+def _at_mu0(cell) -> dict:
+    """{ell-key: PiPoly} of T_{g,n}(L, 0), the m_k put in at mu = 0."""
+    got = cell.poly.subst_m(_mu0_m_values(cell.d),
+                            [MuSeries([q]) for q in cell.poly.terms.values()])
+    return {k: v.coeff(0) for k, v in got.items()}
+
+
 def criterion_classical_volumes(cache=None) -> CriterionResult:
-    """T_{1,1}(L,0) and T_{1,2}(L,0) as exact PiPoly identities."""
+    """T_{1,1}(L,0) and T_{1,2}(L,0) as exact q pi^(2j) identities."""
     checks = []
-    c11 = tightpoly.p_gn(1, 1, cache=cache)
-    got = c11.poly.subst_m(_mu0_m_values(c11.d),
-                           map(PiPoly.const, c11.poly.terms.values()))
-    expect = {(1,): PiPoly.const(Rational(1, 48)),
-              (0,): PiPoly.term(Rational(1, 12), 1)}
+    got = _at_mu0(tightpoly.p_gn(1, 1, cache=cache))
+    expect = {(1,): PiPoly(Rational(1, 48)),
+              (0,): PiPoly(Rational(1, 12), 1)}
     checks.append(Check("T_{1,1}(L,0) = (L^2 + 4 pi^2)/48", got == expect,
                         repr({k: v.to_obj() for k, v in got.items()}),
                         "exact"))
-    c12 = tightpoly.p_gn(1, 2, cache=cache)
-    got12 = c12.poly.subst_m(_mu0_m_values(c12.d),
-                             map(PiPoly.const, c12.poly.terms.values()))
+    got12 = _at_mu0(tightpoly.p_gn(1, 2, cache=cache))
     q = Rational(1, 192)
     expect12 = {
-        (2, 0): PiPoly.const(q),
-        (0, 2): PiPoly.const(q),
-        (1, 1): PiPoly.const(2 * q),
-        (1, 0): PiPoly.term(16 * q, 1),
-        (0, 1): PiPoly.term(16 * q, 1),
-        (0, 0): PiPoly.term(48 * q, 2),
+        (2, 0): PiPoly(q),
+        (0, 2): PiPoly(q),
+        (1, 1): PiPoly(2 * q),
+        (1, 0): PiPoly(16 * q, 1),
+        (0, 1): PiPoly(16 * q, 1),
+        (0, 0): PiPoly(48 * q, 2),
     }
     checks.append(Check(
         "T_{1,2}(L,0) = ((l1+l2)^2 + 16 pi^2 (l1+l2) + 48 pi^4)/192",
@@ -154,14 +158,14 @@ def criterion_series_extraction(cache=None) -> CriterionResult:
     """volume_extract at order 20: V_{0,3}, V_{0,4}(0), V_{1,1}(0)."""
     checks = []
     vols = moments.volume_extract(0, 3, 20, cache=cache)
-    checks.append(Check("V_{0,3} = 1", vols[0] == PiPoly.const(1),
+    checks.append(Check("V_{0,3} = 1", vols[0] == PiPoly(1),
                         repr(vols[0].to_obj()), "exact"))
     checks.append(Check("V_{0,4}(0) = 2 pi^2",
-                        vols[1] == PiPoly.term(2, 1),
+                        vols[1] == PiPoly(2, 1),
                         repr(vols[1].to_obj()), "exact"))
     v11 = moments.volume_extract(1, 1, 0, cache=cache)[0]
     checks.append(Check("V_{1,1}(0) = pi^2/12",
-                        v11 == PiPoly.term(Rational(1, 12), 1),
+                        v11 == PiPoly(Rational(1, 12), 1),
                         repr(v11.to_obj()), "exact"))
     return CriterionResult("C04 series extraction", checks)
 

@@ -31,13 +31,6 @@ class TestLogValue:
             assert abs(v.to_mpf(PREC) - mpmath.mpf(x)) < 1e-20 * abs(
                 mpmath.mpf(x))
 
-    def test_float_overflow_guard(self):
-        huge = LogValue(1, mpmath.mpf(10_000))
-        with pytest.raises(OverflowError):
-            huge.to_float()
-        assert LogValue.from_number(2.0).to_float() == pytest.approx(2.0)
-        assert LogValue.from_number(0).to_float() == 0.0
-
 
 class TestTVolume:
     def test_classical_values_at_mu_zero(self):

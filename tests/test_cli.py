@@ -1,5 +1,7 @@
 """CLI behaviours: outputs, exit codes, determinism, cache coherence."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -146,6 +148,12 @@ class TestSpectrum:
         assert len(lines) == 3
         assert lines[1].startswith("3,")
 
+    def test_unbounded_window_is_refused(self, capsys):
+        code, _, err = run(capsys, "spectrum", "--g-range", "4:4",
+                           "--beta", "3", "--windows", "0:1e8")
+        assert code == 2
+        assert "error" in err
+
     def test_beta_gate(self, capsys):
         code, _, err = run(capsys, "spectrum", "--g-range", "3:4",
                            "--beta", "2", "--windows", "1:2")
@@ -158,6 +166,20 @@ class TestSpectrum:
                              "--allow-beta")
         assert code == 0
         assert "warning" in err
+
+
+class TestCsv:
+    @pytest.mark.parametrize("argv", [
+        ["tau", "-g", "1", "--indices", "1,1"],
+        ["volumes", "-g", "2", "-n", "0", "--pmax", "2"],
+        ["poly", "-g", "1", "-n", "1"],
+    ], ids=["tau", "volumes", "poly"])
+    def test_rows_with_commas_are_quoted(self, capsys, argv):
+        code, out, _ = run(capsys, "--format", "csv", *argv)
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert rows
+        assert all(len(row) == len(header) for row in rows)
 
 
 class TestNanInput:

@@ -47,9 +47,11 @@ class TestIntensity:
             spectrum.intensity(2, 1, PREC)
         with pytest.raises(DomainError):
             spectrum.intensity(-1, 1, PREC)
-        for a, b in ((math.nan, 1), (0, math.nan)):
+        for a, b in ((math.nan, 1), (0, math.nan), (0, 1e8),
+                     (0, spectrum.INTENSITY_B_MAX + 1)):
             with pytest.raises(DomainError):
                 spectrum.intensity(a, b, PREC)
+        assert spectrum.intensity(0, spectrum.INTENSITY_B_MAX, PREC) > 0
 
     def test_float_kernel_consistency(self):
         for t in (0.5, 1.0, 3.0, 6.0):

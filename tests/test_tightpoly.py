@@ -9,8 +9,8 @@ from tightwp import cache as twpcache
 from tightwp import intersection, moments, tightpoly, verify
 from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
 from tightwp.intersection import intersection_number
-from tightwp.ring import (MuSeries, PiPoly, Rational, TightPoly,
-                          eval_ell_groups, to_mpf)
+from tightwp.ring import (MuSeries, Rational, TightPoly, eval_ell_groups,
+                          to_mpf)
 
 PREC = 113
 
@@ -154,14 +154,11 @@ class TestSubstM:
         poly = tightpoly.p_gn(1, 2).poly
         m_vals = verify._mu0_m_values(poly.n_m)
         qs = list(poly.terms.values())
-        full = poly.subst_m(m_vals, map(PiPoly.const, qs))
-        series = poly.subst_m([MuSeries([v], order=0) for v in m_vals],
-                              [MuSeries([q], order=0) for q in qs])
-        assert series.keys() == full.keys()
-        for k, v in full.items():
-            assert series[k].coeff(0) == v
+        series = poly.subst_m(m_vals, [MuSeries([q]) for q in qs])
+        full = {k: v.coeff(0) for k, v in series.items()}
+        assert all(v.order == 0 for v in series.values())
         with mp.workprec(PREC):
-            numeric = poly.subst_m([v.eval(PREC) for v in m_vals],
+            numeric = poly.subst_m([v.eval(0, PREC) for v in m_vals],
                                    [to_mpf(q, PREC) for q in qs])
             assert numeric.keys() == full.keys()
             for k, v in full.items():
@@ -169,9 +166,9 @@ class TestSubstM:
                     mpmath.mpf(2) ** -100
         for k in full:
             part = poly.ell_slice(k)
-            assert part.subst_m(m_vals, map(PiPoly.const,
-                                            part.terms.values())) == \
-                {k: full[k]}
+            assert part.subst_m(m_vals, [MuSeries([q]) for q in
+                                         part.terms.values()]) == \
+                {k: series[k]}
 
 
 class TestDiagnostics:
