@@ -20,27 +20,30 @@ reductions read
 
 with base cases X(0; 0,0,0) = X(1; 1) = 1, where S - j is S without its
 j-th entry; the splitting sum runs over g1 + g2 = g and sub-multisets
-I + J = S with stable factors only.  The reduction order
-is: base cases, string equation (removes a tau_0), dilaton equation
-(removes a tau_1 when nothing larger is left), then the Virasoro step on
-the largest index.
+I + J = S with stable factors only.  The reduction order is: base
+cases, the string equation while the key holds a tau_0, the dilaton
+equation while it holds a tau_1, and only then the Virasoro step on the
+largest index.  So Virasoro sees only keys whose indices are all >= 2,
+which the dimension constraint allows only for g >= 2; there every
+first-sum index d_j + k exceeds the rest of the key, and both genera of
+a split are positive.
 
-X is always an integer, because the halved sum is even.  Each splitting
-pair (r, I, g1), (s, J, g2) other than the diagonal one (r = s, I = J,
-g1 = g2) comes twice.  A diagonal pair with g1 = g2 >= 1 carries the
-factor 2^(c(g) - 2 c(g/2)) = 2, the N_{g-1} term carries 2^3 or 2^4, and
-genus 0 is integral outright: X(0; d) = (n-3)! / prod d_i! * prod
-(2 d_i + 1)!!.  The worker checks the halving anyway and raises
-ArithmeticError on a remainder.
+X is always an integer, because the halved sum is even: the first sum
+is doubled, the N_{g-1} term carries 2^(c(g) - c(g-1)) = 2^4, each
+splitting pair (r, I, g1), (s, J, g2) other than the diagonal one
+(r = s, I = J, g1 = g2) comes twice, and a diagonal pair carries the
+factor 2^(c(g) - 2 c(g/2)) = 2.  The worker checks the halving anyway
+and raises ArithmeticError on a remainder.
 
 The worker walks the recursion with an explicit stack, so a key of any
 depth needs no interpreter recursion.  The splitting sum is collapsed
 from subsets to sub-multisets with binomial weights, which turns
 <tau_2^m>-type keys from exponential to polynomial work; each
 sub-multiset is enumerated once per key and the dimension constraint
-fixes r for each g1.  The memo supports concurrent readers; writes are
-single dict inserts (atomic under the GIL) and recomputing a key is
-idempotent, so no locking is needed.
+fixes r for each g1.  Child keys are formed in descending order by
+slicing and inserting, without a sort.  The memo supports concurrent
+readers; writes are single dict inserts (atomic under the GIL) and
+recomputing a key is idempotent, so no locking is needed.
 
 ``save_tau``/``load_tau`` persist the memo as a tau segment: rows
 [g, indices, "p/q"] holding the true correlator.
@@ -51,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -86,10 +90,10 @@ class TauKey:
 
     @classmethod
     def make(cls, genus: int, indices: Iterable[int]) -> "TauKey":
-        idx = tuple(sorted((int(d) for d in indices), reverse=True))
+        idx = tuple(sorted(map(int, indices), reverse=True))
         if genus < 0:
             raise DomainError(f"negative genus {genus}")
-        if any(d < 0 for d in idx):
+        if idx and idx[-1] < 0:
             raise DomainError(f"negative tau index in {idx}")
         if 2 * genus - 2 + len(idx) <= 0:
             raise UnstableKeyError(
@@ -120,93 +124,123 @@ def clear_cache():
     _values.clear()
 
 
-def _scale(g: int, d: Sequence[int]) -> int:
-    """2^c(g) prod (2 d_i + 1)!!, the factor X(g; d) carries."""
+def _scale(g: int, d: tuple) -> int:
+    """2^c(g) prod (2 d_i + 1)!!, the factor X(g; d) carries; d descends,
+    so filling the table to (2 d_0 + 1)!! covers every entry."""
     out = 1 << (4 * g - 1) if g else 1
-    for v in d:
-        out *= dfact(2 * v + 1)
+    if d:
+        dfact(2 * d[0] + 1)
+        out *= math.prod([_DFACT[2 * v + 1] for v in d])
     return out
 
 
-def _multiplicities(d: Sequence[int]):
-    out = {}
-    for v in d:
-        out[v] = out.get(v, 0) + 1
-    return out
+def _runs(t: tuple):
+    """(i, v, m) for each run of equal entries of t: the index of its
+    last entry, its value and its length."""
+    first = 0
+    for i, v in enumerate(t):
+        if i + 1 == len(t) or t[i + 1] != v:
+            yield i, v, i + 1 - first
+            first = i + 1
 
 
 def _plan(g: int, d: tuple):
     """X(g; d) as (den, linear, bilinear): the sum of w X(a) over linear
     and of w X(a) X(b) over bilinear, divided by den (1 or 2).
 
-    d is sorted descending, dimension-correct and not a base case.
+    d is sorted descending, dimension-correct and not a base case.  The
+    string equation removes a tau_0 while there is one, then the dilaton
+    equation removes a tau_1 while there is one, so the Virasoro step
+    runs only on keys whose indices are all >= 2.  Every child key is
+    formed in descending order, by a slice or an insertion, never sorted.
     """
-    if d[-1] == 0:
-        # string equation: remove one tau_0
+    last = d[-1]
+    if last == 0:
+        # string equation: remove one tau_0 and lower one other index by
+        # 1; lowering the last copy of v keeps the order
         rest = d[:-1]
-        return 1, [(mv * (2 * v + 1),
-                    (g, _sort_desc(_remove_one(rest, v) + (v - 1,))))
-                   for v, mv in _multiplicities(rest).items() if v], ()
-    if d[0] == 1:
-        # dilaton equation: all remaining indices are 1
-        rest = d[1:]
+        return 1, [(m * (2 * v + 1), (g, rest[:i] + (v - 1,) + rest[i + 1:]))
+                   for i, v, m in _runs(rest) if v], ()
+    if last == 1:
+        # dilaton equation: remove one tau_1
+        rest = d[:-1]
         return 1, [(3 * (2 * g - 2 + len(rest)), (g, rest))], ()
 
-    # Virasoro step on the largest index; the first sum is doubled, so
-    # that the whole right-hand side is over den = 2
+    # Virasoro step on the largest index, d_0 = k + 1.  With every index
+    # >= 2 the dimension constraint leaves g >= 2, and k + v exceeds
+    # every index of rest.  The first sum is doubled, so that the whole
+    # right-hand side is over den = 2.
     k = d[0] - 1
     rest = d[1:]
-    mults = _multiplicities(rest)
-    linear = [(2 * mv * (2 * v + 1),
-               (g, _sort_desc(_remove_one(rest, v) + (k + v,))))
-              for v, mv in mults.items()]
-    if g:
-        # 2^(c(g) - c(g-1)); (r, s) and (s, r) give the same key
-        w = 8 if g == 1 else 16
-        for r in range((k + 1) // 2):
-            s = k - 1 - r
-            linear.append((w if r == s else 2 * w,
-                           (g - 1, _sort_desc(rest + (r, s)))))
+    n_rest = len(rest)
+    values, counts, linear = [], [], []
+    for i, v, m in _runs(rest):
+        values.append(v)
+        counts.append(m)
+        linear.append((2 * m * (2 * v + 1),
+                       (g, (k + v,) + rest[:i] + rest[i + 1:])))
+    # an index x < k goes in after the entries above it: the first
+    # above[x] distinct values exceed x, and cut[j] entries of rest hold
+    # the j largest values
+    above = []
+    j = len(values)
+    for x in range(k):
+        while j and values[j - 1] <= x:
+            j -= 1
+        above.append(j)
+    cut = (0, *itertools.accumulate(counts))
+    # the g - 1 term, 2^(c(g) - c(g-1)) = 16; (r, s) and (s, r) give the
+    # same key
+    for r in range((k + 1) // 2):
+        s = k - 1 - r
+        i_s, i_r = cut[above[s]], cut[above[r]]
+        linear.append((16 if r == s else 32,
+                       (g - 1, rest[:i_s] + (s,) + rest[i_s:i_r] + (r,)
+                        + rest[i_r:])))
 
     # splitting term over sub-multisets I of rest with J = rest - I.  The
     # pair (r, I, g1), (s, J, g2) and its mirror give the same product, so
     # only the smaller of the two is kept, with weight 2 unless it is its
-    # own mirror.
+    # own mirror.  The dimension of each factor pins its index,
+    # 3 g1 - 2 + |I| = r + sum(I), so r >= 0 from g1 = lo(I) =
+    # ceil((sum(I) - |I| + 2) / 3) >= 1 on, and s = k - 1 - r >= 0 up to
+    # g1 = g - lo(J).  Both genera are positive, so both factors are
+    # stable and carry 2^(c(g) - c(g1) - c(g2)) = 2.
     bilinear = []
-    n_rest = len(rest)
-    values = sorted(mults)
-    counts = tuple(mults[v] for v in values)
-    for take in itertools.product(*(range(c + 1) for c in counts)):
-        comp = tuple(map(operator.sub, counts, take))
-        if take > comp:
-            continue
+    excess = sum(rest) - n_rest + 4
+    # product() runs through the takes in lex order, and comp comes as
+    # many places from the end as take from the start; so the first half
+    # are the takes with take <= comp, and with an odd count the last of
+    # them is its own mirror
+    n_takes = math.prod(c + 1 for c in counts)
+    mirror = n_takes // 2 if n_takes % 2 else -1
+    takes = itertools.product(*(range(c + 1) for c in counts))
+    for at, take in enumerate(itertools.islice(takes, (n_takes + 1) // 2)):
         size_i = sum(take)
         sum_i = sum(map(operator.mul, values, take))
-        part_i = part_j = None
-        # factor 1 dimension pins r: 3 g1 - 3 + |I| + 1 = r + sum(I)
-        for g1 in range(g + 1):
+        lo = (sum_i - size_i + 4) // 3
+        hi = g - (excess - sum_i + size_i) // 3
+        if at == mirror:
+            hi = min(hi, g // 2)
+        if hi < lo:
+            continue
+        comp = tuple(map(operator.sub, counts, take))
+        weight = 4
+        part_i = part_j = ()
+        for v, c, t in zip(values, counts, take):
+            weight *= math.comb(c, t)
+            part_i += (v,) * t
+            part_j += (v,) * (c - t)
+        cut_i = (0, *itertools.accumulate(take))
+        cut_j = (0, *itertools.accumulate(comp))
+        for g1 in range(lo, hi + 1):
             r = 3 * g1 - 2 + size_i - sum_i
-            if r < 0:
-                continue
-            g2 = g - g1
-            if r >= k or (take == comp and g1 > g2):
-                break
-            if 2 * g1 - 1 + size_i <= 0 or 2 * g2 - 1 + n_rest - size_i <= 0:
-                continue
-            if part_i is None:
-                weight = 1
-                part_i, part_j = [], []
-                for v, c, t in zip(values, counts, take):
-                    weight *= math.comb(c, t)
-                    part_i += [v] * t
-                    part_j += [v] * (c - t)
-                part_i, part_j = tuple(part_i), tuple(part_j)
-            # 2^(c(g) - c(g1) - c(g2)) is 2 when both genera are positive
-            w = 2 * weight if g1 and g2 else weight
-            if take != comp or g1 != g2:
-                w *= 2
-            bilinear.append((w, (g1, _sort_desc(part_i + (r,))),
-                             (g2, _sort_desc(part_j + (k - 1 - r,)))))
+            s = k - 1 - r
+            i_r, i_s = cut_i[above[r]], cut_j[above[s]]
+            bilinear.append((weight // 2 if at == mirror and 2 * g1 == g
+                             else weight,
+                             (g1, part_i[:i_r] + (r,) + part_i[i_r:]),
+                             (g - g1, part_j[:i_s] + (s,) + part_j[i_s:])))
     return 2, linear, bilinear
 
 
@@ -250,16 +284,6 @@ def _solve(key: tuple) -> int:
         del plans[top]
         stack.pop()
     return memo[key]
-
-
-def _sort_desc(t) -> tuple:
-    return tuple(sorted(t, reverse=True))
-
-
-def _remove_one(t: tuple, v) -> tuple:
-    out = list(t)
-    out.remove(v)
-    return tuple(out)
 
 
 def intersection_number(key, indices=None) -> Rational:
@@ -411,7 +435,7 @@ def check_comparison_bound(g: int, pvec: Sequence[int],
 
 def string_identity_holds(g: int, indices: Sequence[int]) -> bool:
     """Exact check of the string equation for <tau_0 prod tau_{k_i}>_g."""
-    idx = _sort_desc(indices)
+    idx = tuple(sorted(indices, reverse=True))
     lhs = intersection_number(g, idx + (0,))
     rhs = _R0
     for j, v in enumerate(idx):
@@ -422,7 +446,49 @@ def string_identity_holds(g: int, indices: Sequence[int]) -> bool:
 
 def dilaton_identity_holds(g: int, indices: Sequence[int]) -> bool:
     """Exact check of the dilaton equation for <tau_1 prod tau_{k_i}>_g."""
-    idx = _sort_desc(indices)
+    idx = tuple(sorted(indices, reverse=True))
     lhs = intersection_number(g, idx + (1,))
     rhs = (2 * g - 2 + len(idx)) * intersection_number(g, idx)
     return lhs == rhs
+
+
+def virasoro_identity_holds(g: int, indices: Sequence[int]) -> bool:
+    """Exact check of the Virasoro relation of the module docstring on
+    the largest index k + 1 >= 1 of <prod tau_{d_i}>_g, each side summed
+    from values intersection_number returns.  The key without its largest
+    index must be stable."""
+    idx = tuple(sorted(indices, reverse=True))
+    if not idx or idx[0] < 1 or 2 * g - 3 + len(idx) <= 0:
+        raise DomainError(f"no Virasoro relation for g={g} {idx}")
+    k, rest = idx[0] - 1, idx[1:]
+
+    def norm(h, d):
+        """N_h(d) = <tau_d>_h prod (2 d_i + 1)!!."""
+        return intersection_number(h, d) * math.prod(
+            dfact(2 * v + 1) for v in d)
+
+    lhs = norm(g, idx)
+    first = sum(((2 * v + 1) * norm(g, rest[:j] + (v + k,) + rest[j + 1:])
+                 for j, v in enumerate(rest)), _R0)
+    half = _R0
+    if g:
+        half += sum((norm(g - 1, rest + (r, k - 1 - r)) for r in range(k)),
+                    _R0)
+    # splitting sum over sub-multisets I of rest, binomial weights; the
+    # dimension of the first factor fixes r for each g1
+    mults = Counter(rest)
+    values = list(mults)
+    for take in itertools.product(*(range(mults[v] + 1) for v in values)):
+        part_i = tuple(v for v, t in zip(values, take) for _ in range(t))
+        part_j = tuple(v for v, t in zip(values, take)
+                       for _ in range(mults[v] - t))
+        weight = math.prod(math.comb(mults[v], t)
+                           for v, t in zip(values, take))
+        for g1 in range(g + 1):
+            r = 3 * g1 - 2 + len(part_i) - sum(part_i)
+            if not 0 <= r < k or 2 * g1 - 1 + len(part_i) <= 0 \
+                    or 2 * (g - g1) - 1 + len(part_j) <= 0:
+                continue
+            half += weight * norm(g1, part_i + (r,)) * norm(
+                g - g1, part_j + (k - 1 - r,))
+    return lhs == first + half / 2

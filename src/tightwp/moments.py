@@ -9,11 +9,12 @@ J_k(2 pi sqrt(2 r)).
 Numeric side: one series routine, _f, gives every value: Z(r, mu) =
 F(r) - mu = r f_1(r)/c - mu and its slope f_0(r), mu_c = F(r_max) with
 r_max = j_0^2/(8 pi^2), the moments M_k = f_k(R), and through
-J_1(j_0) = 4 pi^2 mu_c / j_0 the constant alpha1.  Only j_0, the first
-zero of J_0, comes from mpmath.  Monotone equations are solved by
-_newton_root, a Newton iteration that keeps a bracket around the root
-and bisects when a Newton step would leave it; the layer's derivatives
-are all in closed form.
+J_1(j_0) = 4 pi^2 mu_c / j_0 the constant alpha1.  A Newton step of
+solve_r takes Z and f_0 from one pass over the powers (c r)^m.  Only
+j_0, the first zero of J_0, comes from mpmath.  Monotone equations are
+solved by _newton_root, a Newton iteration that keeps a bracket around
+the root and bisects when a Newton step would leave it; the layer's
+derivatives are all in closed form.
 
 Exact side: the formal mu-series of R and of every M_k, each a MuSeries
 of single-power-of-pi^2 coefficients (int numerators over one common
@@ -97,6 +98,28 @@ def _f(k: int, r, prec: int):
         return total
 
 
+def _z_and_slope(r, mu, prec: int):
+    """(Z(r, mu), f_0(r)) for a Newton step of solve_r, from one pass over
+    p_m = (c r)^m / m!^2: f_0 = sum p_m and, as r f_1(r) / c = F(r),
+    Z = r sum p_m / (m + 1) - mu.  Both sums get _f's guard bits and
+    stopping rule; Z is rounded to prec bits as z_value rounds it."""
+    with mp.workprec(prec + 16):
+        cr = -2 * mp.pi ** 2 * r
+        cutoff = mpmath.mpf(2) ** (-(prec + 8))
+        p = q = f0 = s = mpmath.mpf(1)
+        m = 0
+        while (abs(p) > cutoff * (abs(f0) + cutoff)
+               or abs(q) > cutoff * (abs(s) + cutoff)):
+            m += 1
+            p = p * cr / (m * m)
+            q = p / (m + 1)
+            f0 += p
+            s += q
+        val = r * s - mu
+    with mp.workprec(prec):
+        return +val, f0
+
+
 def z_value(r, mu, prec: int = DEFAULT_PREC):
     """Z(r, mu) = F(r) - mu = r f_1(r)/c - mu, for 0 <= r <= 1; F is
     sqrt(r)/(sqrt(2) pi) J_1(2 pi sqrt(2 r)) as a power series in r."""
@@ -163,12 +186,9 @@ def solve_r(mu, prec: int = DEFAULT_PREC):
         if mu >= muc:
             return hi
 
-        def fdf(r):
-            return z_value(r, mu, prec), _f(0, r, prec)
-
         x0 = max(mu, hi - mpmath.sqrt((muc - mu) * hi / muc) / mp.pi)
-        return _newton_root(fdf, mpmath.mpf(0), hi, x0,
-                            mpmath.mpf(2) ** -prec)
+        return _newton_root(lambda r: _z_and_slope(r, mu, prec),
+                            mpmath.mpf(0), hi, x0, mpmath.mpf(2) ** -prec)
 
 
 def moment(k: int, mu, prec: int = DEFAULT_PREC):

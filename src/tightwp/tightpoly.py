@@ -31,7 +31,7 @@ from tightwp import cache as twpcache
 from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
 from tightwp.intersection import (intersection_number, load_tau, save_tau,
                                    tau2_correlator)
-from tightwp.ring import Rational, TightPoly, mpf_list, to_mpf
+from tightwp.ring import TightPoly, mpf_list, to_mpf
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -137,12 +137,27 @@ def compositions(total: int, mins: Sequence[int]):
 
 def _closed_form(g: int, n: int, count: int) -> TightPoly:
     """P_{g,n} as the correlator sum of the module docstring, one
-    correlator per (m-key, sorted ell-block), terms in canonical order."""
+    correlator per (m-key, sorted ell-block), terms in canonical order:
+    by m-key, then by ell-key."""
     d = 3 * g - 3 + n
-    ell_blocks = [[(c, tuple(sorted(c, reverse=True)))
-                   for c in compositions(j, (0,) * n)] for j in range(d + 1)]
+    # ells[j]: the ell-keys of weight j in lex order, one boundary at a time
+    ells = [[()]] + [[] for _ in range(d)]
+    for _ in range(n):
+        ells = [[(a,) + c for a in range(j + 1) for c in ells[j - a]]
+                for j in range(d + 1)]
+    # blocks[j]: the distinct sorted ell-blocks of weight j, each with its
+    # 2^j prod d_i!; which[j]: the block of each ell-key
+    blocks, which = [], []
+    for keys in ells:
+        at = {}
+        which.append([at.setdefault(tuple(sorted(c, reverse=True)), len(at))
+                      for c in keys])
+        blocks.append([(taus, math.prod(map(math.factorial, taus))
+                        << sum(taus)) for taus in at])
     m_blocks = []
     for weight in range(d + 1):
+        if not ells[d - weight]:  # n = 0 leaves only weight d
+            continue
         for part in partitions(weight):
             key = [0] * d
             for k in part:
@@ -152,18 +167,13 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
     terms = {}
     for m_key, weight, part in m_blocks:
         m_taus = tuple(k + 1 for k in part)
-        m_den = math.prod(math.factorial(a) for a in m_key)
-        sign = -1 if len(part) % 2 else 1
-        coeffs = {}
-        for ell, taus in ell_blocks[d - weight]:
-            q = coeffs.get(taus)
-            if q is None:
-                den = m_den << (d - weight)
-                for t in taus:
-                    den *= math.factorial(t)
-                q = coeffs[taus] = intersection_number(g, taus + m_taus) \
-                    * Rational(sign, den)
-            terms[ell + m_key] = q
+        m_den = math.prod(map(math.factorial, m_key))
+        if len(part) % 2:
+            m_den = -m_den
+        qs = [intersection_number(g, taus + m_taus) / (m_den * den)
+              for taus, den in blocks[d - weight]]
+        terms.update(zip([c + m_key for c in ells[d - weight]],
+                         map(qs.__getitem__, which[d - weight])))
     # psi-class correlators of stable, dimension-correct keys are positive,
     # so every key gets a nonzero coefficient and the cell is dense
     if len(terms) != count:

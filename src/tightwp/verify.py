@@ -216,6 +216,44 @@ def recursion_holds(cell: tightpoly.PolyCell, cache=None) -> bool:
     return recursion_step(prev) == cell.poly
 
 
+def cusp_step(cell: tightpoly.PolyCell) -> TightPoly:
+    """The ell = 0 slice of P_{g,n+1} from that of P_{g,n} = cell, in one
+    pass over its terms; an independent route to the closed form.
+
+    At L = 0 a cusp is a mu-derivative, d/dmu T_{g,n}(0, mu) =
+    T_{g,n+1}(0, mu), with T_{g,n} = P_{g,n} M_0^-(2g-2+n), M_0' = m_1 and
+    m_k' = (m_{k+1} - m_1 m_k)/M_0.  So
+
+        P_{g,n+1}(0, m) = -(2g-2+n) m_1 P_{g,n}(0, m)
+                          + sum_k (m_{k+1} - m_1 m_k) dP_{g,n}(0, m)/dm_k.
+
+    Each term t = q m^e adds e_k q m^e m_{k+1}/m_k for every k with
+    e_k > 0.  As sum_k m_k dt/dm_k = |e| t, the -m_1 m_k parts join the
+    first term, whose factor becomes 2g-2+n+|e|.
+    """
+    g, n = cell.genus, cell.boundaries
+    zero = (0,) * (n + 1)
+    out = defaultdict(int)
+    for key, q in cell.poly.terms.items():
+        if any(key[:n]):
+            continue
+        e = key[n:] + (0,)
+        out[(*zero, e[0] + 1, *e[1:])] -= (2 * g - 2 + n + sum(e)) * q
+        for k in range(1, len(e)):
+            if e[k - 1]:
+                out[(*zero, *e[:k - 1], e[k - 1] - 1, e[k] + 1,
+                     *e[k + 1:])] += e[k - 1] * q
+    return TightPoly._raw(n + 1, cell.d + 1,
+                          {k: c for k, c in out.items() if c})
+
+
+def cusp_step_holds(cell: tightpoly.PolyCell, cache=None) -> bool:
+    """True iff cusp_step of cell is exactly the ell = 0 slice of
+    P_{g,n+1}."""
+    nxt = tightpoly.p_gn(cell.genus, cell.boundaries + 1, cache=cache)
+    return cusp_step(cell) == nxt.poly.ell_slice((0,) * nxt.boundaries)
+
+
 def _tau_keys(max_dim: int):
     """Every stable (genus, indices) correlator key with n >= 1 whose
     indices sum to its dimension 3g - 3 + n <= max_dim; indices descend."""
@@ -230,8 +268,9 @@ def _tau_keys(max_dim: int):
 
 
 def criterion_property_suites(cache=None) -> CriterionResult:
-    """validate_cell sweep, the n-recursion against the closed form,
-    string/dilaton consistency, comparison sweep."""
+    """validate_cell sweep, the n-recursion and the cusp derivation
+    against the closed form, string/dilaton/Virasoro consistency,
+    comparison sweep."""
     checks = []
     bad = []
     for g in range(0, 6):
@@ -243,6 +282,14 @@ def criterion_property_suites(cache=None) -> CriterionResult:
     checks.append(Check("validate_cell for admissible g<=5, n<=5",
                         not bad, f"failures: {bad}", "all valid"))
 
+    pairs = [(g, n) for g in range(6) for n in range(5)
+             if tightpoly.admissible(g, n)]
+    bad = [(g, n) for g, n in pairs
+           if not cusp_step_holds(tightpoly.p_gn(g, n, cache=cache), cache)]
+    checks.append(Check("cusp derivation gives the ell = 0 slice of "
+                        "P_{g,n+1}, g<=5 with n+1<=5", not bad,
+                        f"{len(pairs)} pairs, failures: {bad}", "exact"))
+
     pairs = [(g, n) for g in range(6) for n in range(1, 5 if g <= 3 else 4)
              if tightpoly.admissible(g, n - 1)]
     bad = [(g, n) for g, n in pairs
@@ -252,10 +299,17 @@ def criterion_property_suites(cache=None) -> CriterionResult:
                         f"{len(pairs)} cells, failures: {bad}", "exact"))
 
     # string/dilaton: exact reduction identities on every correlator key
-    # that carries a tau_0 (resp. tau_1), in the stated dimension range
-    str_fail = dil_fail = 0
-    str_n = dil_n = 0
+    # that carries a tau_0 (resp. tau_1), in the stated dimension range.
+    # The recursion strips every tau_0 and tau_1 by these two equations,
+    # so the Virasoro relation on a key with a tau_1 and an index >= 2
+    # is the check that does not hold by construction.
+    str_fail = dil_fail = vir_fail = 0
+    str_n = dil_n = vir_n = 0
     for (g, idx) in _tau_keys(12):
+        if 1 in idx and idx[0] >= 2:
+            vir_n += 1
+            if not intersection.virasoro_identity_holds(g, idx):
+                vir_fail += 1
         if 0 in idx:
             rest = list(idx)
             rest.remove(0)
@@ -276,6 +330,10 @@ def criterion_property_suites(cache=None) -> CriterionResult:
     checks.append(Check("dilaton equation on all keys (dim <= 12)",
                         dil_fail == 0 and dil_n > 0,
                         f"{dil_n} keys, {dil_fail} failures", "all exact"))
+    checks.append(Check("Virasoro relation on keys with a tau_1 and an "
+                        "index >= 2 (dim <= 12)",
+                        vir_fail == 0 and vir_n > 0,
+                        f"{vir_n} keys, {vir_fail} failures", "all exact"))
 
     # exhaustive comparison-bound sweep
     total = failures = 0

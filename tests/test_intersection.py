@@ -10,13 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tightwp import intersection, verify
+from tightwp import cache as twpcache
+from tightwp import intersection, tightpoly, verify
 from tightwp.errors import DomainError, UnstableKeyError
 from tightwp.intersection import (TauKey, check_comparison_bound, dfact,
                                   dilaton_identity_holds, intersection_number,
                                   mp_asymptotic_ratio, string_identity_holds,
-                                  tau2_correlator)
-from tightwp.ring import Rational
+                                  tau2_correlator, virasoro_identity_holds)
+from tightwp.ring import Rational, rat_to_str
+from tightwp.tightpoly import partitions
 
 # Values cross-checked against published Witten-Kontsevich tables.
 KNOWN = [
@@ -50,8 +52,11 @@ def test_known_values(g, idx, value):
 
 def _oracle(g, d, memo):
     """<tau_d>_g from the DVV recursion on Fractions, recursive, as the
-    package computed it before the scaled-integer worker; d is sorted
-    descending and dimension-correct."""
+    package computed it before the scaled-integer worker and in its older
+    reduction order: the string equation on a tau_0, the dilaton equation
+    only on keys whose indices are all 1, else the Virasoro step on the
+    largest index.  d is sorted descending and dimension-correct; memo
+    ends up holding every non-base key the recursion reached."""
     key = (g, d)
     if key in memo:
         return memo[key]
@@ -112,11 +117,65 @@ def _oracle(g, d, memo):
 
 
 def test_matches_fraction_oracle():
+    # every stable, dimension-correct key of dimension <= 12
     memo = {}
-    keys = list(verify._tau_keys(10))
+    keys = list(verify._tau_keys(12))
     keys += [(g, (2,) * (3 * g - 3)) for g in range(2, 8)]
     for g, idx in keys:
         assert intersection_number(g, idx) == _oracle(g, idx, memo), (g, idx)
+
+
+def _pg0_keys(g_max):
+    """The correlators the closed form of P_{g,0} reads, 2 <= g <= g_max:
+    one tau_{k+1} per part k of each partition of 3g - 3."""
+    return [(g, tuple(k + 1 for k in part)) for g in range(2, g_max + 1)
+            for part in partitions(3 * g - 3)]
+
+
+def test_old_order_oracle_on_every_key_the_genus_builds_reach(monkeypatch):
+    monkeypatch.setattr(intersection, "_memo", {})
+    monkeypatch.setattr(intersection, "_values", {})
+    monkeypatch.setattr(tightpoly, "_cells", {})
+    for g in range(2, 8):
+        tightpoly.p_gn(g, 0)
+    reached = set(intersection._memo)
+    old = {}
+    for g, idx in _pg0_keys(7):
+        _oracle(g, idx, old)
+    # stripping every tau_1 first reaches fewer keys
+    assert len(reached) < len(old)
+    for g, idx in reached | set(old):
+        assert intersection_number(g, idx) == _oracle(g, idx, old), (g, idx)
+
+
+def test_old_order_tau_segment_loads(tmp_path, monkeypatch):
+    old = {}
+    for g, idx in _pg0_keys(5):
+        _oracle(g, idx, old)
+    # the old order reaches keys with a tau_1 next to larger indices
+    assert any(d[-1] == 1 and d[0] > 1 for _, d in old)
+    path = tmp_path / "tau.twp"
+    twpcache.write_twp(path, "tau", [len(old)],
+                       [[g, list(d), rat_to_str(v)]
+                        for (g, d), v in sorted(old.items())])
+    monkeypatch.setattr(intersection, "_values", {})
+    monkeypatch.setattr(intersection, "_memo", {})
+    for g, idx in old:
+        intersection_number(g, idx)
+    new = dict(intersection._memo)
+    # merged into a memo the new order filled: no row conflicts
+    assert intersection.load_tau(path) == len(old)
+    assert all(intersection._memo[k] == x for k, x in new.items())
+    # merged into an empty memo: every row serves its value, and the new
+    # order builds the next genus on top of the merged rows
+    monkeypatch.setattr(intersection, "_values", {})
+    monkeypatch.setattr(intersection, "_memo", {})
+    assert intersection.load_tau(path) == len(old)
+    assert set(intersection._memo) == set(old)
+    for key in set(old) | set(new):
+        assert intersection_number(*key) == _oracle(*key, old), key
+    for g, idx in _pg0_keys(6):
+        assert intersection_number(g, idx) == _oracle(g, idx, old), (g, idx)
 
 
 def test_values_are_rationals_on_miss_and_hit():
@@ -240,6 +299,21 @@ def test_string_and_dilaton_identities(g, idx):
         return
     assert string_identity_holds(g, idx)
     assert dilaton_identity_holds(g, idx)
+
+
+def test_virasoro_identity_sees_one_changed_value(monkeypatch):
+    assert virasoro_identity_holds(1, (1, 1))
+    assert virasoro_identity_holds(0, (1, 0, 0, 0))
+    assert virasoro_identity_holds(3, (1, 3, 5))
+    monkeypatch.setattr(intersection, "_values", dict(intersection._values))
+    # <tau_5 tau_3>_3 is a first-sum term of <tau_5 tau_3 tau_1>_3
+    key = (3, (5, 3))
+    intersection._values[key] = intersection_number(*key) + Rational(1, 7)
+    assert not virasoro_identity_holds(3, (5, 3, 1))
+    with pytest.raises(DomainError):
+        virasoro_identity_holds(1, (1,))
+    with pytest.raises(DomainError):
+        virasoro_identity_holds(0, (0, 0, 0, 0))
 
 
 def test_tau2_correlator_dimension_check():

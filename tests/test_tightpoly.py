@@ -122,6 +122,22 @@ class TestPgn:
         bad = tightpoly.PolyCell(2, 2, TightPoly(2, cell.d, terms))
         assert not verify.recursion_holds(bad)
 
+    def test_cusp_step_of_the_one_cusped_torus_is_the_hand_form(self):
+        # P_{1,1}(0, m) = -m1/24 gives -m2/24 + m1^2/12, the ell = 0 part
+        # of the hand form of P_{1,2} in C02
+        got = verify.cusp_step(tightpoly.p_gn(1, 1))
+        assert got == TightPoly(2, 2, {(0, 0, 0, 1): Rational(-1, 24),
+                                       (0, 0, 2, 0): Rational(1, 12)})
+
+    def test_cusp_check_catches_one_changed_coefficient(self):
+        cell = tightpoly.p_gn(2, 1)
+        assert verify.cusp_step_holds(cell)
+        terms = dict(cell.poly.terms)
+        key = next(k for k in terms if k[0] == 0)
+        terms[key] = terms[key] + Rational(1, 7)
+        bad = tightpoly.PolyCell(2, 1, TightPoly(1, cell.d, terms))
+        assert not verify.cusp_step_holds(bad)
+
     @pytest.mark.parametrize("key, out_key, share", [
         # ell_1^4: its boundary integral puts q/(2*4 + 2) on ell_2^5
         ((4, 0, 0, 0, 0), (0, 5, 0, 0, 0, 0, 0), Rational(1, 10)),
