@@ -14,9 +14,10 @@ those groups.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import mpmath
@@ -132,12 +133,18 @@ class CuspPmf:
     probs are renormalized over 0..pmax; raw_mass is the untruncated-model
     mass sum_p mu^p V_{g,p} / (p! T_g) actually captured (must sit within
     1e-12 of 1); tail_bound is the certified geometric bound on what the
-    truncation dropped, relative to the captured mass.
+    truncation dropped, relative to the captured mass.  cdf holds the
+    running sums of probs, the same floats a left-to-right loop adds up.
     """
 
     probs: tuple
     raw_mass: float
     tail_bound: float
+    cdf: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "cdf",
+                           tuple(itertools.accumulate(self.probs)))
 
     def __len__(self):
         return len(self.probs)

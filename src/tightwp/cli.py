@@ -309,7 +309,7 @@ def cmd_verify(cfg: RunConfig, args) -> int:
     from tightwp import verify
 
     results = verify.run_suite(args.suite, cache=cfg.cache,
-                               mc_samples=args.mc_samples)
+                               mc_samples=args.mc_samples, seed=cfg.seed)
     report = {"suite": args.suite, "passed": all(r.passed for r in results),
               "criteria": [r.to_obj() for r in results]}
     if cfg.format == "json":
@@ -430,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-file", default=None,
                    help="also write the JSON report here")
     p.add_argument("--mc-samples", type=int, default=100_000,
-                   help="Monte Carlo sample count for the full suite")
+                   help="Monte Carlo sample count for the full suite "
+                        "(seeds seed, seed+1, ...)")
     p.set_defaults(fn=cmd_verify)
 
     return ap

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -327,16 +328,45 @@ def _poisson_draw(rng: random.Random, lam: float) -> int:
     return k
 
 
+def _slope(t: float) -> float:
+    """d lambda_{0,t}/dt = (cosh t - 1)/t, taken as its series
+    t/2 + t^3/24 near t = 0."""
+    return t / 2 + t ** 3 / 24 if t < 1e-2 else (math.cosh(t) - 1) / t
+
+
+_KNOT_STEP = 1 / 32
+
+
+def _knot_table() -> tuple:
+    """(_intensity_f(t), 1/slope(t)) at the knots t = j/32, j = 0, 1, ...,
+    up to the first knot whose exp(-lambda) underflows; _poisson_draw
+    refuses any t_max at or past that knot."""
+    lams, inv_slopes = [], []
+    while not lams or math.exp(-lams[-1]) > 0.0:
+        t = len(lams) * _KNOT_STEP
+        lams.append(_intensity_f(t))
+        inv_slopes.append(1 / _slope(t) if t else math.inf)
+    return tuple(lams), tuple(inv_slopes)
+
+
+_KNOT_LAM, _KNOT_INV_SLOPE = _knot_table()
+
+
 def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     """One realization of the limiting process on [0, t_max].
 
     Draws N ~ Poisson(lambda_{0,t_max}), then N i.i.d. points with
     density (cosh t - 1)/t / lambda_{0,t_max} by inverting the CDF: each
     point solves lambda_{0,t} = u for a uniform u in [0, lambda_{0,t_max})
-    by Newton's method (moments._newton_root), with slope (cosh t - 1)/t,
-    taken as its series t/2 + t^3/24 near t = 0.  Newton starts at
-    min(2 sqrt(u), t_max), right of the root because lambda_{0,t} >= t^2/4,
-    and lambda is convex, so the iterates descend monotonically.
+    by Newton's method (moments._newton_root) on the bracket
+    [t_j, min(t_(j+1), t_max)] between the knots t_j = j/32 whose
+    lambda values hold u, read by bisecting a table of lambda and
+    1/slope at the knots.  Newton starts at the cubic-Hermite interpolant
+    of the inverse function t(u) over that bracket, which is within about
+    1e-9 of the root past the first knots, so a point takes about two
+    evaluations of the float intensity.  On the first bracket, where
+    t(u) ~ 2 sqrt(u) has an infinite slope at 0, it starts at
+    2 sqrt(u), right of the root because lambda_{0,t} >= t^2/4.
     Deterministic for a fixed seed.
     """
     if not t_max > 0:
@@ -348,14 +378,27 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     pts = []
     for _ in range(n):
         u = rng.random() * lam
+        j = bisect_right(_KNOT_LAM, u) - 1
+        lo = j * _KNOT_STEP
+        hi = min(lo + _KNOT_STEP, t_max)
+        if j:
+            # the cubic in x = (u - u0)/du through t = lo and lo + step
+            # with slopes dt/dx = du/slope at both ends
+            u0 = _KNOT_LAM[j]
+            du = _KNOT_LAM[j + 1] - u0
+            x = (u - u0) / du
+            d0 = du * _KNOT_INV_SLOPE[j]
+            d1 = du * _KNOT_INV_SLOPE[j + 1]
+            c2 = 3 * _KNOT_STEP - 2 * d0 - d1
+            c3 = d0 + d1 - 2 * _KNOT_STEP
+            x0 = min(max(lo + x * (d0 + x * (c2 + x * c3)), lo), hi)
+        else:
+            x0 = min(2 * math.sqrt(u), hi)
 
         def fdf(t, u=u):
-            slope = (t / 2 + t ** 3 / 24 if t < 1e-2
-                     else (math.cosh(t) - 1) / t)
-            return _intensity_f(t) - u, slope
+            return _intensity_f(t) - u, _slope(t)
 
-        pts.append(_newton_root(fdf, 0.0, t_max,
-                                min(2 * math.sqrt(u), t_max), 2.0 ** -50))
+        pts.append(_newton_root(fdf, lo, hi, x0, 2.0 ** -50))
     return PointSample(points=tuple(sorted(pts)))
 
 
@@ -363,23 +406,29 @@ _pmf_cache: dict = {}
 
 
 def _cached_pmf(g: int, mu, prec: int, cache):
-    with mp.workprec(prec):
-        key = (g, mpmath.mpf(mu), prec)
-    pmf = _pmf_cache.get(key)
+    """cusp_pmf(g, mu, prec), memoized on the exact value of mu.
+
+    A caller's own (g, mu, prec) is looked up first.  On a miss mu is
+    rounded to a prec-bit mpf key, as cusp_pmf rounds it, and the entry
+    is stored under both keys; equal values round to equal keys.
+    """
+    pmf = _pmf_cache.get((g, mu, prec))
     if pmf is None:
-        pmf = cusp_pmf(g, mu, prec=prec, cache=cache)
-        _pmf_cache[key] = pmf
+        with mp.workprec(prec):
+            key = (g, mpmath.mpf(mu), prec)
+        pmf = _pmf_cache.get(key)
+        if pmf is None:
+            pmf = _pmf_cache[key] = cusp_pmf(g, mu, prec=prec, cache=cache)
+        _pmf_cache[(g, mu, prec)] = pmf
     return pmf
 
 
 def sample_cusp_count(g: int, mu, seed: int,
                       prec: int = DEFAULT_PREC, cache=None) -> int:
-    """Inverse-CDF draw of the cusp count; deterministic per seed."""
-    pmf = _cached_pmf(g, mu, prec, cache)
-    u = _rng(seed).random()
-    cdf = 0.0
-    for p, w in enumerate(pmf.probs):
-        cdf += w
-        if u <= cdf:
-            return p
-    return len(pmf.probs) - 1
+    """Inverse-CDF draw of the cusp count; deterministic per seed.
+
+    The first p with u <= cdf[p], found by bisection; a u past the last
+    running sum draws the last index.
+    """
+    cdf = _cached_pmf(g, mu, prec, cache).cdf
+    return min(bisect_left(cdf, _rng(seed).random()), len(cdf) - 1)

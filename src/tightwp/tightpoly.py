@@ -154,22 +154,20 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
                       for c in keys])
         blocks.append([(taus, math.prod(map(math.factorial, taus))
                         << sum(taus)) for taus in at])
-    m_blocks = []
-    for weight in range(d + 1):
-        if not ells[d - weight]:  # n = 0 leaves only weight d
-            continue
-        for part in partitions(weight):
-            key = [0] * d
-            for k in part:
-                key[k - 1] += 1
-            m_blocks.append((tuple(key), weight, part))
-    m_blocks.sort()
+    # rows[r]: the m-keys (a_k, ..., a_d) of weight r, or of weight at most
+    # r when n > 0 (n = 0 leaves only weight d), in lex order, each with
+    # its weight, its tau indices k+1 and +-prod a_k!; built from m_d down
+    # to m_1, so rows[-1] lists the m-keys of the cell in term order
+    signed_fact = [(-1) ** a * math.factorial(a) for a in range(d + 1)]
+    rows = [[((), 0, (), 1)] if n or r == 0 else [] for r in range(d + 1)]
+    for k in range(d, 0, -1):
+        rows = [[((a,) + key, w + k * a, taus + (k + 1,) * a,
+                  den * signed_fact[a])
+                 for a in range(r // k + 1)
+                 for key, w, taus, den in rows[r - k * a]]
+                for r in (range(d + 1) if k > 1 else (d,))]
     terms = {}
-    for m_key, weight, part in m_blocks:
-        m_taus = tuple(k + 1 for k in part)
-        m_den = math.prod(map(math.factorial, m_key))
-        if len(part) % 2:
-            m_den = -m_den
+    for m_key, weight, m_taus, m_den in rows[-1]:
         qs = [intersection_number(g, taus + m_taus) / (m_den * den)
               for taus, den in blocks[d - weight]]
         terms.update(zip([c + m_key for c in ells[d - weight]],

@@ -246,6 +246,32 @@ class TestVerify:
         assert exc.value.code == 2
         assert "--mc-samples must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, seeds", [
+        ((), [0, 1, 2]), (("--seed", "7"), [7, 8, 9])])
+    def test_seed_sets_the_monte_carlo_seeds(self, capsys, monkeypatch,
+                                             argv, seeds):
+        from tightwp import spectrum, verify
+
+        seen = {"poisson": [], "cusp": []}
+        poisson = spectrum.sample_poisson_process
+        cusp = spectrum.sample_cusp_count
+
+        def record_poisson(t_max, seed):
+            seen["poisson"].append(seed)
+            return poisson(t_max, seed)
+
+        def record_cusp(g, mu, seed, **kw):
+            seen["cusp"].append(seed)
+            return cusp(g, mu, seed, **kw)
+
+        monkeypatch.setattr(spectrum, "sample_poisson_process",
+                            record_poisson)
+        monkeypatch.setattr(spectrum, "sample_cusp_count", record_cusp)
+        monkeypatch.setattr(verify, "CRITERIA", [
+            ("C11", verify.criterion_monte_carlo, False)])
+        run(capsys, "verify", "--suite", "full", "--mc-samples", "3", *argv)
+        assert seen == {"poisson": seeds, "cusp": seeds}
+
 
 def _fresh_process(monkeypatch):
     """Empty the tau memo and the cell memo, as a new process starts."""

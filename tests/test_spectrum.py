@@ -1,6 +1,7 @@
 """Length-spectrum layer: intensity, normalization, expected counts and
 the seeded samplers."""
 
+import itertools
 import math
 import os
 import statistics
@@ -284,6 +285,91 @@ class TestSamplers:
             assert len(got) == len(want)
             for t, ref in zip(got, want):
                 assert abs(t - ref) <= 4 * math.ulp(ref), (seed, t_max)
+
+    @staticmethod
+    def _largest_accepted_t_max():
+        """The largest float t_max whose exp(-lambda) _poisson_draw
+        accepts, by bisecting the floats between the last two knots."""
+        def accepted(t):
+            return math.exp(-spectrum._intensity_f(t)) > 0.0
+
+        knots = len(spectrum._KNOT_LAM)
+        lo, hi = (knots - 2) / 32, (knots - 1) / 32
+        assert accepted(lo) and not accepted(hi)
+        while math.nextafter(lo, hi) < hi:
+            mid = (lo + hi) / 2
+            if accepted(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def test_poisson_knot_edges(self):
+        t_top = self._largest_accepted_t_max()
+        with pytest.raises(DomainError):
+            spectrum.sample_poisson_process(math.nextafter(t_top, 10), 0)
+        cases = [(1.0, 300), (math.nextafter(1.0, 0), 300),
+                 (math.nextafter(1.0, 2), 300), (2.5, 300),
+                 (math.nextafter(2.5, 0), 300), (math.nextafter(2.5, 3), 300),
+                 (0.01, 300), (t_top, 3)]
+        for t_max, seeds in cases:
+            for seed in range(seeds):
+                got = spectrum.sample_poisson_process(t_max, seed).points
+                replay = spectrum._poisson_draw(
+                    spectrum._rng(seed), spectrum._intensity_f(t_max))
+                assert len(got) == replay, (t_max, seed)
+                want = self._bisection_sample(t_max, seed)
+                for t, ref in zip(got, want):
+                    assert abs(t - ref) <= 4 * math.ulp(ref), (t_max, seed)
+                assert all(0 <= t <= t_max for t in got)
+
+    @staticmethod
+    def _linear_scan_draw(pmf, seed):
+        """Reference cusp draw: the first p whose running sum reaches u,
+        else the last index."""
+        u = spectrum._rng(seed).random()
+        cdf = 0.0
+        for p, w in enumerate(pmf.probs):
+            cdf += w
+            if u <= cdf:
+                return p
+        return len(pmf.probs) - 1
+
+    def test_cusp_draws_match_linear_scan(self):
+        muc = moments.mu_critical(PREC)
+        for g, mu in ((3, muc / 2), (2, muc * 2 / 5), (2, muc / 10)):
+            pmf = spectrum._cached_pmf(g, mu, PREC, None)
+            assert pmf.cdf == tuple(itertools.accumulate(pmf.probs))
+            for seed in range(3000):
+                assert spectrum.sample_cusp_count(g, mu, seed, PREC) == \
+                    self._linear_scan_draw(pmf, seed), (g, seed)
+
+    def test_cusp_draw_past_the_last_running_sum(self, monkeypatch):
+        # a pmf whose probs sum to 1/2: every u > 1/2 falls back to the
+        # last index
+        from tightwp.boltzmann import CuspPmf
+
+        pmf = CuspPmf(probs=(0.125, 0.0, 0.375), raw_mass=1.0,
+                      tail_bound=0.0)
+        monkeypatch.setattr(spectrum, "_pmf_cache", {(2, 0.25, PREC): pmf})
+        draws = [spectrum.sample_cusp_count(2, 0.25, seed, PREC)
+                 for seed in range(3000)]
+        assert draws == [self._linear_scan_draw(pmf, seed)
+                         for seed in range(3000)]
+        assert {0, 2} == set(draws)
+        assert any(spectrum._rng(seed).random() > pmf.cdf[-1]
+                   for seed in range(3000))
+
+    def test_float_and_mpf_mu_share_one_pmf(self):
+        mu = float(moments.mu_critical(PREC)) / 3
+        with mp.workprec(PREC):
+            mu_mpf = mpmath.mpf(mu)
+        a = spectrum._cached_pmf(3, mu, PREC, None)
+        assert spectrum._cached_pmf(3, mu_mpf, PREC, None) is a
+        assert [spectrum.sample_cusp_count(3, mu, s, PREC)
+                for s in range(200)] == \
+            [spectrum.sample_cusp_count(3, mu_mpf, s, PREC)
+             for s in range(200)]
 
     def test_cusp_count_determinism_and_support(self):
         muc = moments.mu_critical(PREC)
