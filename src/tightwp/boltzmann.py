@@ -86,8 +86,8 @@ def t_value(g: int, n: int, L: Sequence, mu,
         raise DomainError(f"need {n} boundary lengths, got {len(L)}")
     with mp.workprec(prec):
         lengths = [mpmath.mpf(x) for x in L]
-        if not all(x >= 0 for x in lengths):
-            raise DomainError("boundary lengths must be >= 0")
+        if not all(mpmath.isfinite(x) and x >= 0 for x in lengths):
+            raise DomainError("boundary lengths must be finite and >= 0")
         frame, groups = cell_groups(g, n, mu, prec, cache)
         value, abs_sum, cancelled = eval_ell_groups(
             groups, [x * x for x in lengths], prec)

@@ -141,12 +141,11 @@ def cmd_volumes(cfg: RunConfig, args) -> int:
     if len(L) != n:
         raise DomainError(f"--L must supply {n} lengths")
     mu = _resolve_mu(cfg, args)
-    val = boltzmann.t_volume(g, n, L, mu, prec=cfg.precision,
-                             cache=cfg.cache)
+    t = boltzmann.t_value(g, n, L, mu, prec=cfg.precision, cache=cfg.cache)
+    val = boltzmann.LogValue.from_number(t, cfg.precision)
     obj = {"genus": g, "boundaries": n, "L": L, "mu": _fnum(mu),
            "sign": val.sign, "log_magnitude": _fnum(val.log_magnitude),
-           "value": _fnum(val.to_mpf(cfg.precision)),
-           "precision": cfg.precision}
+           "value": _fnum(t), "precision": cfg.precision}
     _emit(cfg, obj,
           rows=[[g, n, obj["mu"], val.sign, _fnum(val.log_magnitude),
                  obj["value"]]],

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fone, from_int, mpf_abs, mpf_add, mpf_div, mpf_gt,
+                          mpf_mul, mpf_pos, mpf_sub, round_nearest as _RN)
 
 from tightwp import tightpoly
 from tightwp.errors import DomainError
@@ -76,6 +78,23 @@ def _newton_root(fdf, lo, hi, x0, rel_tol):
         last = step
 
 
+@functools.cache
+def _series_start(k: int, wp: int) -> tuple:
+    """(c, c^k/k!, 2^-(wp-8)) as raw mpf at wp bits, c = -2 pi^2, each
+    formed as the mpf operators form it at that precision."""
+    with mp.workprec(wp):
+        c = -2 * mp.pi ** 2
+        first = c ** k / mpmath.factorial(k)
+        return c._mpf_, first._mpf_, (mpmath.mpf(2) ** (8 - wp))._mpf_
+
+
+def _above(term, total, cutoff, wp: int) -> bool:
+    """The series' continue test |term| > cutoff (|total| + cutoff), with
+    the sum rounded to nearest at wp bits."""
+    return mpf_gt(mpf_abs(term), mpf_mul(
+        cutoff, mpf_add(mpf_abs(total), cutoff, wp, _RN), wp, _RN))
+
+
 def _f(k: int, r, prec: int):
     """f_k(r) = sum_m c^(m+k) r^m / (m! (m+k)!) with c = -2 pi^2, at
     prec + 16 bits.
@@ -83,41 +102,45 @@ def _f(k: int, r, prec: int):
     Terms are added until one falls below 2^-(prec+8) of the sum.  For
     0 <= r <= 1, which holds the bracket [0, r_max], no term exceeds 2^9
     times the first, c^k/k!, so rounding costs at most about 10 of the 16
-    guard bits, measured against that first term.
+    guard bits, measured against that first term.  The loop runs on raw
+    mpf tuples, each libmp call rounded to nearest at prec + 16, as the
+    mpf operators round inside mp.workprec(prec + 16); r is read as given
+    (an int or float exactly).
     """
-    with mp.workprec(prec + 16):
-        c = -2 * mp.pi ** 2
-        cr = c * r
-        term = total = c ** k / mpmath.factorial(k)
-        cutoff = mpmath.mpf(2) ** (-(prec + 8))
-        m = 0
-        while abs(term) > cutoff * (abs(total) + cutoff):
-            m += 1
-            term = term * cr / (m * (m + k))
-            total += term
-        return total
+    wp = prec + 16
+    c, term, cutoff = _series_start(k, wp)
+    cr = mpf_mul(c, mpmath.mpf.mpf_convert_rhs(r), wp, _RN)
+    total = term
+    m = 0
+    while _above(term, total, cutoff, wp):
+        m += 1
+        term = mpf_div(mpf_mul(term, cr, wp, _RN), from_int(m * (m + k)),
+                       wp, _RN)
+        total = mpf_add(total, term, wp, _RN)
+    return mp.make_mpf(total)
 
 
 def _z_and_slope(r, mu, prec: int):
     """(Z(r, mu), f_0(r)) for a Newton step of solve_r, from one pass over
     p_m = (c r)^m / m!^2: f_0 = sum p_m and, as r f_1(r) / c = F(r),
-    Z = r sum p_m / (m + 1) - mu.  Both sums get _f's guard bits and
-    stopping rule; Z is rounded to prec bits as z_value rounds it."""
-    with mp.workprec(prec + 16):
-        cr = -2 * mp.pi ** 2 * r
-        cutoff = mpmath.mpf(2) ** (-(prec + 8))
-        p = q = f0 = s = mpmath.mpf(1)
-        m = 0
-        while (abs(p) > cutoff * (abs(f0) + cutoff)
-               or abs(q) > cutoff * (abs(s) + cutoff)):
-            m += 1
-            p = p * cr / (m * m)
-            q = p / (m + 1)
-            f0 += p
-            s += q
-        val = r * s - mu
-    with mp.workprec(prec):
-        return +val, f0
+    Z = r sum p_m / (m + 1) - mu.  Both sums get _f's guard bits,
+    stopping rule and raw-tuple arithmetic; Z is rounded to prec bits as
+    z_value rounds it."""
+    wp = prec + 16
+    c, _, cutoff = _series_start(0, wp)
+    r = mpmath.mpf.mpf_convert_rhs(r)
+    cr = mpf_mul(c, r, wp, _RN)
+    p = q = f0 = s = fone
+    m = 0
+    while _above(p, f0, cutoff, wp) or _above(q, s, cutoff, wp):
+        m += 1
+        p = mpf_div(mpf_mul(p, cr, wp, _RN), from_int(m * m), wp, _RN)
+        q = mpf_div(p, from_int(m + 1), wp, _RN)
+        f0 = mpf_add(f0, p, wp, _RN)
+        s = mpf_add(s, q, wp, _RN)
+    val = mpf_sub(mpf_mul(r, s, wp, _RN), mpmath.mpf.mpf_convert_rhs(mu),
+                  wp, _RN)
+    return mp.make_mpf(mpf_pos(val, prec, _RN)), mp.make_mpf(f0)
 
 
 def z_value(r, mu, prec: int = DEFAULT_PREC):

@@ -20,38 +20,44 @@ threads:
                       held as a {exponent key: coefficient} term map.
                       There is no polynomial algebra: a cell comes from
                       the closed form or the disk store, and is read
-                      through ``dm``, ``ell_slice`` and ``subst_m``.
-                      ``subst_m`` is the one routine that puts values
-                      (MuSeries or mpf) in for the m_k, grouped by
-                      ell-exponent; it takes the coefficients already
-                      lifted into the values' type, aligned with
-                      ``terms``.  A numeric evaluation is two steps:
-                      ``ell_groups`` puts mpf values in for the m_k once
-                      (a signed ``subst_m`` pass and one over absolute
-                      values), and ``eval_ell_groups`` sums the groups at
-                      the ell-values and tracks cancellation.  The mpf
-                      lift (``mpf_list``) is formed once per cell and
-                      precision and held by the caller
-                      (``tightpoly.PolyCell.mpf_coeffs``), so no pass
-                      converts a coefficient again.  The disk store
-                      holds a cell in term order as ``to_columns``
-                      gives it; ``to_obj`` is the sorted display form.
+                      through ``dm``, ``ell_slice`` and the two
+                      substitutions that put values in for the m_k,
+                      grouped by ell-exponent.  ``subst_m`` puts in exact
+                      MuSeries values.  ``subst_m_mpf`` is the numeric
+                      kernel: it runs on mpmath's raw mpf tuples and forms
+                      each term's product q prod m_k^e_k once, so a signed
+                      sum and a sum of magnitudes come from one pass.  A
+                      numeric evaluation is two steps: ``ell_groups`` (one
+                      kernel pass) and ``eval_ell_groups``, which sums the
+                      groups at the ell-values and tracks cancellation.
+                      The mpf lift of the coefficients (``mpf_list``) is
+                      formed once per cell and precision and held by the
+                      caller (``tightpoly.PolyCell.mpf_coeffs``), so no
+                      pass converts a coefficient again.  The disk store
+                      holds a cell in term order as ``to_columns`` gives
+                      it; ``to_obj`` is the sorted display form.
 
 Floats only ever appear at the final evaluation step, through mpmath at a
 configurable binary precision (default 113 bits).  Quantities near the
 critical fugacity span hundreds of orders of magnitude; mpmath's unbounded
-exponent makes plain evaluation safe.
+exponent makes plain evaluation safe.  The numeric loops call mpmath.libmp
+on raw mpf tuples with the caller's precision and round-to-nearest passed
+explicitly.  These are the calls ``mpf.__mul__`` and ``mpf.__add__`` make
+inside, so every result is the one the mpf operators give at that
+precision, and none depends on the ambient ``mp.prec``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from itertools import chain
+from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fzero, from_float, from_int, mpf_abs, mpf_add,
+                          mpf_div, mpf_lt, mpf_mul, mpf_pos, round_nearest)
 
 from tightwp.errors import DomainError, ShapeError
 
@@ -62,6 +68,7 @@ except ImportError:  # gmpy2 is optional (the "fast" extra)
 
 DEFAULT_PREC = 113
 CANCEL_THRESHOLD = 1e-6
+_RN = round_nearest  # the rounding of the mpf operators, passed explicitly
 
 _R0 = Rational(0)
 
@@ -76,11 +83,13 @@ def rat_from_str(s: str) -> Rational:
 
 
 def mpf_list(qs: Iterable, prec: int = DEFAULT_PREC) -> list:
-    """Rationals (or ints) as mpf at the given precision, numerator over
-    denominator, formed in one precision context."""
-    mpf = mpmath.mpf
-    with mp.workprec(prec):
-        return [mpf(int(q.numerator)) / mpf(int(q.denominator)) for q in qs]
+    """Rationals (or ints) as mpf at the given precision: numerator over
+    denominator, each rounded to prec first, as mpf(num) / mpf(den)
+    gives them."""
+    make = mp.make_mpf
+    return [make(mpf_div(from_int(int(q.numerator), prec, _RN),
+                         from_int(int(q.denominator), prec, _RN), prec, _RN))
+            for q in qs]
 
 
 def to_mpf(q, prec: int = DEFAULT_PREC):
@@ -296,6 +305,21 @@ def _power(tab: list, e: int):
     return tab[e]
 
 
+def _tuples(values: Iterable, prec: int) -> list:
+    """The values (anything mpmath.mpf takes) as raw mpf tuples rounded to
+    nearest at prec, as mpmath.mpf(v) gives them at that precision."""
+    convert = mpmath.mpf.mpf_convert_arg
+    return [mpf_pos(convert(v, prec, _RN), prec, _RN) for v in values]
+
+
+def _mpf_power(tab: list, e: int, prec: int):
+    """tab[e] for a raw power table [None, v, v^2, ...], extended as
+    needed by repeated multiplication at prec."""
+    while len(tab) <= e:
+        tab.append(mpf_mul(tab[-1], tab[1], prec, _RN))
+    return tab[e]
+
+
 class TightPoly:
     """Sparse polynomial in (ell_1..ell_n, m_1..m_D) over Rational.
 
@@ -384,15 +408,14 @@ class TightPoly:
                                             if k[:n] == ell})
 
     def subst_m(self, m_values: Sequence, coeffs: Iterable) -> dict:
-        """Put values in for every m_k, keeping ell symbolic.
+        """Put exact MuSeries values in for every m_k, keeping ell symbolic.
 
         Returns {ell-exponent tuple: sum of c prod m_k^e_k} over the
         terms.  m_values[k-1] replaces m_k; ``coeffs`` holds the
-        coefficients already lifted into the values' type (a MuSeries, or
-        an mpf at the caller's precision), one per term in the order of
-        ``terms``.  Each term multiplies the powers into its
-        c in variable order, each power formed once by repeated
-        multiplication.
+        coefficients already lifted into MuSeries, one per term in the
+        order of ``terms``.  Each term multiplies the powers into its c in
+        variable order, each power formed once by repeated multiplication.
+        Numeric values go through ``subst_m_mpf``.
         """
         if len(m_values) != self.n_m:
             raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
@@ -408,6 +431,48 @@ class TightPoly:
             out[ell_key] = acc if cur is None else cur + acc
         return out
 
+    def subst_m_mpf(self, m_values: Sequence, coeffs: Sequence, prec: int,
+                    magnitudes: bool = False) -> dict:
+        """The numeric kernel: the m_k put in at prec, grouped by
+        ell-exponent, on raw mpf tuples.
+
+        m_values[k-1] replaces m_k, rounded to prec as mpmath.mpf rounds
+        it.  ``coeffs`` is ``mpf_list(self.terms.values(), prec)``: mpf
+        held at prec, one per term in the order of ``terms``.  Each term's
+        product q prod m_k^e_k is formed once, q first and the powers in
+        variable order, each power once per call by repeated
+        multiplication; every operation is a libmp call rounded to nearest
+        at prec.  Returns {ell-key: G}, or {ell-key: (G, A)} with
+        magnitudes, as raw mpf tuples: G sums the products and A their
+        absolute values, each key's first term taken as formed and the
+        rest added in term order.  Round-to-nearest is odd-symmetric, so
+        |round(a b)| = round(|a| |b|), and since the coefficients are
+        already at prec, A equals the sum of |q| prod |m_k|^e_k formed on
+        its own: one pass serves both sums.
+        """
+        if len(m_values) != self.n_m:
+            raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
+        pows = [[None, v] for v in _tuples(m_values, prec)]
+        out: dict = {}
+        n = self.n_ell
+        for key, c in zip(self.terms, coeffs, strict=True):
+            acc = c._mpf_
+            m_key = key[n:]
+            for tab, e in zip(compress(pows, m_key), filter(None, m_key)):
+                acc = mpf_mul(acc, tab[e] if e < len(tab)
+                              else _mpf_power(tab, e, prec), prec, _RN)
+            ell_key = key[:n]
+            cur = out.get(ell_key)
+            if not magnitudes:
+                out[ell_key] = acc if cur is None else \
+                    mpf_add(cur, acc, prec, _RN)
+            elif cur is None:
+                out[ell_key] = (acc, mpf_abs(acc))
+            else:
+                out[ell_key] = (mpf_add(cur[0], acc, prec, _RN),
+                                mpf_add(cur[1], mpf_abs(acc), prec, _RN))
+        return out
+
     def ell_groups(self, m_values, coeffs: Sequence,
                    prec: int = DEFAULT_PREC) -> dict:
         """The m_k put in numerically, grouped by ell-exponent.
@@ -415,19 +480,15 @@ class TightPoly:
         ``coeffs`` is ``mpf_list(self.terms.values(), prec)``, which the
         caller holds.  Returns {ell-key: (G, A)} with G = sum q prod
         m_k^e_k and A = sum |q| prod |m_k|^e_k over the key's terms, as
-        mpf at prec, from a signed ``subst_m`` pass and one over absolute
-        values (taken at prec, so |lift(q)| is lift(|q|)).
-        ``eval_ell_groups`` finishes the evaluation at any ell-values, so
-        a caller that reads one m-vector at many lengths substitutes it
-        once.
+        mpf at prec, from one ``subst_m_mpf`` pass.  ``eval_ell_groups``
+        finishes the evaluation at any ell-values, so a caller that reads
+        one m-vector at many lengths substitutes it once.
         """
         if prec < 53:
             raise DomainError("precision must be at least 53 bits")
-        with mp.workprec(prec):
-            m = [mpmath.mpf(v) for v in m_values]
-            signed = self.subst_m(m, coeffs)
-            unsigned = self.subst_m([abs(v) for v in m], map(abs, coeffs))
-        return {k: (v, unsigned[k]) for k, v in signed.items()}
+        make = mp.make_mpf
+        return {k: (make(g), make(a)) for k, (g, a) in self.subst_m_mpf(
+            m_values, coeffs, prec, magnitudes=True).items()}
 
     # -- canonical order and serialization ---------------------------------
 
@@ -510,22 +571,39 @@ def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):
     ell_i^l_i and abs_sum = sum_l A_l prod |ell_i|^l_i, which is the sum
     of |term| over the polynomial's terms.  cancelled is set when |value|
     < CANCEL_THRESHOLD * abs_sum; the threshold is read at call time.
-    Raises ShapeError when the number of ell-values is not the key length.
+    The sums run on raw mpf tuples rounded to nearest at prec, with one
+    table of the powers of each ell_i, and one of their absolute values,
+    per call.  A group with a positive power of an ell_i = 0 is skipped:
+    its terms are exact zeros, and adding zero to a sum already rounded
+    to prec returns that sum.  Raises ShapeError when the number of
+    ell-values is not the key length.
     """
     key = next(iter(groups), None)
     if key is not None and len(key) != len(ell_values):
         raise ShapeError(f"need {len(key)} ell-values, got {len(ell_values)}")
-    with mp.workprec(prec):
-        pows = [[None, mpmath.mpf(v)] for v in ell_values]
-        total = abs_total = mpmath.mpf(0)
-        for key, (val, mag) in groups.items():
-            for i, e in enumerate(key):
-                if e:
-                    x = _power(pows[i], e)
-                    val = val * x
-                    mag = mag * abs(x)
-            total = total + val
-            abs_total = abs_total + mag
-        cancelled = bool(abs_total) and \
-            abs(total) < mpmath.mpf(CANCEL_THRESHOLD) * abs_total
-        return total, abs_total, cancelled
+    tops = [max(col) for col in zip(*groups)]
+    tabs = []
+    for v, top in zip(_tuples(ell_values, prec), tops):
+        if v == fzero:
+            tabs.append(None)
+            continue
+        pows = [None, v]
+        _mpf_power(pows, top, prec)
+        tabs.append((pows, [None] + [mpf_abs(x, prec, _RN)
+                                     for x in pows[1:]]))
+    total = abs_total = fzero
+    for key, (val, mag) in groups.items():
+        val, mag = val._mpf_, mag._mpf_
+        for tab, e in zip(tabs, key):
+            if e:
+                if tab is None:
+                    break
+                val = mpf_mul(val, tab[0][e], prec, _RN)
+                mag = mpf_mul(mag, tab[1][e], prec, _RN)
+        else:
+            total = mpf_add(total, val, prec, _RN)
+            abs_total = mpf_add(abs_total, mag, prec, _RN)
+    cancelled = abs_total != fzero and mpf_lt(
+        mpf_abs(total, prec, _RN),
+        mpf_mul(from_float(CANCEL_THRESHOLD, prec, _RN), abs_total, prec, _RN))
+    return mp.make_mpf(total), mp.make_mpf(abs_total), cancelled

@@ -227,8 +227,8 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     T_{g-r,2r}(x_1, x_1, ..., x_r, x_r, mu) x_1...x_r dx, where each cut
     curve contributes two equal boundary entries and c(mu) is the first
     output of ``normalization``.  The integrand is polynomial in the
-    x_i^2: ``TightPoly.subst_m`` reads P_{g-r,2r} at the moment values
-    grouped by ell-key, from the coefficients the cell holds as mpf
+    x_i^2: ``TightPoly.subst_m_mpf`` reads P_{g-r,2r} at the moment
+    values grouped by ell-key, from the coefficients the cell holds as mpf
     (``PolyCell.mpf_coeffs``), and the group with key l is weighted by
     prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
     T_g(mu) is ``boltzmann.t_value`` at (g, 0), so the count is one
@@ -248,7 +248,8 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
-        groups = cell.poly.subst_m(frame.m_ratios(), cell.mpf_coeffs(prec))
+        groups = cell.poly.subst_m_mpf(frame.m_ratios(),
+                                       cell.mpf_coeffs(prec), prec)
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
         max_q = max((sum(key) for key in groups), default=0)
         w_table = []
@@ -261,6 +262,7 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
 
         total = mpmath.mpf(0)
         for key, t in groups.items():
+            t = mp.make_mpf(t)
             for i in range(r):
                 t *= w_table[i][key[2 * i] + key[2 * i + 1]]
             total += t

@@ -19,6 +19,7 @@ in the sinh-normalized boundary variables).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,7 +57,7 @@ class PolyCell:
     ``poly`` and are filled by their readers: ``boltzmann.cell_groups``
     keeps the ell-groups per (exact mu, prec), ``mpf_coeffs`` the
     coefficients as mpf per prec (one list aligned with ``poly.terms``,
-    which every numeric ``subst_m`` pass on the cell reads),
+    which every ``subst_m_mpf`` pass on the cell reads),
     ``moments.volume_extract`` the exact volumes.  They live and die with
     the cell, so a cleared or replaced cell never serves them.
     """
@@ -111,6 +112,7 @@ def clear_memory_cache():
     _cells.clear()
 
 
+@functools.cache
 def term_count(g: int, n: int) -> int:
     """Number of monomials of graded degree D = 3g-3+n in ell_1..ell_n,
     m_1..m_D, which is sum_j C(j+n-1, n-1) p(D-j): the x^D coefficient
@@ -305,10 +307,10 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
             f"frame holds moments up to {frame.d_max}, need {cell.d}")
     prec = frame.precision
     m_vals = frame.m_ratios()[:cell.d]
+    part = poly.ell_slice(qvec)
+    got = part.subst_m_mpf(m_vals, mpf_list(part.terms.values(), prec), prec)
     with mp.workprec(prec):
-        part = poly.ell_slice(qvec)
-        got = part.subst_m(m_vals, mpf_list(part.terms.values(), prec))
-        total = got.get(qvec, mpmath.mpf(0))
+        total = mp.make_mpf(got[qvec]) if qvec in got else mpmath.mpf(0)
         scale = (-m_vals[0] / 3) ** sum(qvec)
         return +(total * scale)
 

@@ -83,6 +83,13 @@ class TestTVolume:
             with pytest.raises(DomainError):
                 boltzmann.t_volume(2, 1, [length], 0.01, PREC)
 
+    @pytest.mark.parametrize("length", [math.inf, -math.inf, "inf"])
+    def test_non_finite_length_is_refused(self, length):
+        with pytest.raises(DomainError, match="finite"):
+            boltzmann.t_value(2, 1, [length], 0.01, PREC)
+        with pytest.raises(DomainError, match="finite"):
+            boltzmann.t_value(2, 2, [1.0, length], 0.01, PREC)
+
 
 def _per_term_eval(poly, ell_values, m_values, prec):
     """(value, sum of |term|) by the per-term loop: each monomial formed on
@@ -237,19 +244,21 @@ class TestEllGroups:
         assert held[0]() is None
 
     def test_ten_lengths_substitute_once(self, monkeypatch):
+        # one kernel pass per (cell, mu, prec) gives both the signed and
+        # the magnitude sums
         monkeypatch.setattr(tightpoly, "_cells", {})
         calls = []
-        subst_m = TightPoly.subst_m
+        kernel = TightPoly.subst_m_mpf
 
         def counting(self, *args, **kwargs):
             calls.append(self)
-            return subst_m(self, *args, **kwargs)
+            return kernel(self, *args, **kwargs)
 
-        monkeypatch.setattr(TightPoly, "subst_m", counting)
+        monkeypatch.setattr(TightPoly, "subst_m_mpf", counting)
         mu = moments.mu_critical(PREC) / 2
         for i in range(10):
             boltzmann.t_volume(4, 1, [0.3 * i], mu, PREC)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
 
 class TestFactorialMoments:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tightwp import cli
+from tightwp import boltzmann, cli
 
 
 def run(capsys, *argv):
@@ -127,6 +127,28 @@ class TestVolumes:
                            "--L=-1", "--mu", "0.01")
         assert code == 2
         assert "boundary lengths" in err
+
+    @pytest.mark.parametrize("length", ["inf", "-inf", "nan"])
+    def test_non_finite_length_is_refused(self, capsys, length):
+        code, _, err = run(capsys, "volumes", "-g", "2", "-n", "1",
+                           f"--L={length}", "--mu", "0.01")
+        assert code == 2
+        assert "boundary lengths" in err
+
+    def test_value_is_t_value_not_exp_of_its_log(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("value read back from its log")
+
+        monkeypatch.setattr(boltzmann.LogValue, "to_mpf", refuse)
+        code, out, _ = run(capsys, "--format", "json", "volumes", "-g", "2",
+                           "-n", "1", "--L", "1", "--mu", "0.01")
+        assert code == 0
+        obj = json.loads(out)
+        want = boltzmann.t_value(2, 1, [1.0], 0.01, 113)
+        assert obj["value"] == cli._fnum(want)
+        log = boltzmann.LogValue.from_number(want, 113)
+        assert obj["log_magnitude"] == cli._fnum(log.log_magnitude)
+        assert obj["sign"] == 1
 
     def test_extraction_mode(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "volumes", "-g", "0",

@@ -173,12 +173,12 @@ class TestSubstM:
         series = poly.subst_m(m_vals, [MuSeries([q]) for q in qs])
         full = {k: v.coeff(0) for k, v in series.items()}
         assert all(v.order == 0 for v in series.values())
+        numeric = poly.subst_m_mpf([v.eval(0, PREC) for v in m_vals],
+                                   [to_mpf(q, PREC) for q in qs], PREC)
+        assert numeric.keys() == full.keys()
         with mp.workprec(PREC):
-            numeric = poly.subst_m([v.eval(0, PREC) for v in m_vals],
-                                   [to_mpf(q, PREC) for q in qs])
-            assert numeric.keys() == full.keys()
             for k, v in full.items():
-                assert abs(numeric[k] / v.eval(PREC) - 1) < \
+                assert abs(mp.make_mpf(numeric[k]) / v.eval(PREC) - 1) < \
                     mpmath.mpf(2) ** -100
         for k in full:
             part = poly.ell_slice(k)
