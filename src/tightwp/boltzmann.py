@@ -46,12 +46,6 @@ class LogValue:
                 return cls(0, mpmath.mpf("-inf"))
             return cls(1 if x > 0 else -1, mpmath.log(abs(x)))
 
-    def to_mpf(self, prec: int = DEFAULT_PREC):
-        with mp.workprec(prec):
-            if self.sign == 0:
-                return mpmath.mpf(0)
-            return self.sign * mpmath.exp(self.log_magnitude)
-
 
 def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
     """(frame, groups): the moment frame at mu and ``TightPoly.ell_groups``
@@ -161,14 +155,18 @@ class CuspPmf:
         return total
 
 
+# The largest mass, relative to the captured mass, that cusp_pmf lets
+# its truncation drop.
+TAIL_TOL = 1e-12
+
+
 def cusp_pmf(g: int, mu, pmax: int | None = None,
-             prec: int = DEFAULT_PREC, cache=None,
-             tail_tol: float = 1e-12) -> CuspPmf:
+             prec: int = DEFAULT_PREC, cache=None) -> CuspPmf:
     """P(N = p) for p = 0..pmax under the mu-Boltzmann measure.
 
     Weights mu^p V_{g,p}(0)/p! come from the exact volume extraction;
     pmax defaults to ceil(4 E[N]) + 40.  The dropped tail is certified
-    with a geometric ratio test and must stay below tail_tol relative
+    with a geometric ratio test and must stay below TAIL_TOL relative
     mass, otherwise TailMassError asks for a larger pmax.
     """
     if g < 2:
@@ -196,10 +194,10 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
             raise TailMassError(
                 f"tail ratios not contracting at pmax={pmax}; increase pmax")
         tail = weights[-1] * rho / (1 - rho)
-        if tail > mpmath.mpf(tail_tol) * total:
+        if tail > mpmath.mpf(TAIL_TOL) * total:
             raise TailMassError(
                 f"certified tail mass {mpmath.nstr(tail / total, 5)} exceeds "
-                f"{tail_tol}; increase pmax beyond {pmax}")
+                f"{TAIL_TOL}; increase pmax beyond {pmax}")
         raw_mass = float(total / t_value(g, 0, [], mu, prec, cache))
         probs = tuple(float(w / total) for w in weights)
         return CuspPmf(probs=probs, raw_mass=raw_mass,
@@ -264,10 +262,8 @@ def boundary_ratio(g: int, n: int, L: Sequence, mu,
         prod sinh(L_i)/L_i) for the boundary-profile comparison."""
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
-    cell = p_gn(g, n, cache=cache)
-    frame = cached_frame(mu, cell.d, prec)
+    scale = cached_frame(mu, 1, prec).length_scale()
     with mp.workprec(prec):
-        scale = mpmath.sqrt(-frame.moments[1] / (3 * frame.moments[0]))
         scaled = [mpmath.mpf(x) * scale for x in L]
         ratio = (t_value(g, n, scaled, mu, prec, cache)
                  / t_value(g, n, [0] * n, mu, prec, cache))

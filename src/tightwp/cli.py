@@ -35,15 +35,10 @@ CSV_DIGITS = 17
 
 @dataclass(frozen=True)
 class RunConfig:
-    cache_dir: str | None
+    cache: PolyCache  # --budget, and the store under --cache-dir if given
     precision: int
     format: str
     seed: int
-    budget: int
-
-    @property
-    def cache(self) -> PolyCache | None:
-        return PolyCache(self.cache_dir) if self.cache_dir else None
 
 
 def _fnum(x, digits: int = CSV_DIGITS) -> str:
@@ -105,8 +100,7 @@ def cmd_tau(cfg: RunConfig, args) -> int:
 
 
 def cmd_poly(cfg: RunConfig, args) -> int:
-    cell = tightpoly.p_gn(args.genus, args.boundaries, cache=cfg.cache,
-                          budget=cfg.budget)
+    cell = tightpoly.p_gn(args.genus, args.boundaries, cache=cfg.cache)
     problems = tightpoly.validate_cell_report(cell)
     verdict = ("symmetric ✓ graded ✓" if not problems
                else "INVALID: " + "; ".join(problems))
@@ -307,20 +301,25 @@ def cmd_sample(cfg: RunConfig, args) -> int:
 def cmd_verify(cfg: RunConfig, args) -> int:
     from tightwp import verify
 
+    if cfg.precision != verify.PREC:
+        raise DomainError(f"verify runs at its pinned precision of "
+                          f"{verify.PREC} bits, not {cfg.precision}")
     results = verify.run_suite(args.suite, cache=cfg.cache,
                                mc_samples=args.mc_samples, seed=cfg.seed)
     report = {"suite": args.suite, "passed": all(r.passed for r in results),
               "criteria": [r.to_obj() for r in results]}
-    if cfg.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        for r in results:
-            mark = "PASS" if r.passed else "FAIL"
-            print(f"[{mark}] {r.name}  ({r.seconds:.1f}s)")
-            for c in r.checks:
-                sub = "ok " if c.passed else "FAIL"
-                print(f"    {sub} {c.name}: {c.measured}  [{c.tolerance}]")
-        print("suite:", "PASS" if report["passed"] else "FAIL")
+    rows, lines = [], []
+    for r in results:
+        lines.append(f"[{'PASS' if r.passed else 'FAIL'}] {r.name}  "
+                     f"({r.seconds:.1f}s)")
+        for c in r.checks:
+            rows.append([r.name, c.name, c.passed, c.measured, c.tolerance])
+            lines.append(f"    {'ok ' if c.passed else 'FAIL'} {c.name}: "
+                         f"{c.measured}  [{c.tolerance}]")
+    lines.append(f"suite: {'PASS' if report['passed'] else 'FAIL'}")
+    _emit(cfg, report, rows=rows,
+          header=["criterion", "check", "passed", "measured", "tolerance"],
+          text_lines=lines)
     if args.report_file:
         with open(args.report_file, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -347,6 +346,16 @@ def _add_common(ap, suppress: bool):
                     help="monomial-count budget per cell (>= 10^4)")
 
 
+def _mu_options() -> argparse.ArgumentParser:
+    """--mu and --mu-gap, a new parent parser per subcommand: children share
+    their parents' options, so one's set_defaults would reach the others."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--mu", type=float, default=None)
+    p.add_argument("--mu-gap", type=float, default=None,
+                   help="set mu = mu_c - gap instead of --mu")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_common(common, suppress=True)
@@ -355,9 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tight Weil-Petersson volumes, Boltzmann cusp "
                     "statistics and tight length-spectrum limit laws.")
     _add_common(ap, suppress=False)
-    sub = ap.add_subparsers(dest="command", required=True,
-                            parser_class=lambda **kw: argparse.ArgumentParser(
-                                parents=[common], **kw))
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        parser_class=lambda parents=(), **kw: argparse.ArgumentParser(
+            parents=[common, *parents], **kw))
 
     p = sub.add_parser("tau", help="psi-class intersection number")
     p.add_argument("--genus", "-g", type=int, required=True)
@@ -370,33 +380,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--boundaries", "-n", type=int, required=True)
     p.set_defaults(fn=cmd_poly)
 
-    p = sub.add_parser("volumes",
+    p = sub.add_parser("volumes", parents=[_mu_options()],
                        help="T_{g,n}(L, mu) or exact V_{g,n+p}(0)")
     p.add_argument("--genus", "-g", type=int, required=True)
     p.add_argument("--boundaries", "-n", type=int, required=True)
     p.add_argument("--L", dest="lengths", default="",
                    help="comma-separated boundary lengths")
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--mu-gap", type=float, default=None,
-                   help="set mu = mu_c - gap instead of --mu")
     p.add_argument("--pmax", type=int, default=None,
                    help="extract exact volumes up to p cusps instead")
-    p.set_defaults(fn=cmd_volumes)
+    p.set_defaults(fn=cmd_volumes, mu=0.0)
 
-    p = sub.add_parser("moments", help="Bessel moment frame at mu")
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--mu-gap", type=float, default=None,
-                   help="set mu = mu_c - gap instead of --mu")
+    p = sub.add_parser("moments", parents=[_mu_options()],
+                       help="Bessel moment frame at mu")
     p.add_argument("--dmax", type=int, default=8)
     p.add_argument("--order", type=int, default=None,
                    help="also print the exact R and M0 series")
     p.set_defaults(fn=cmd_moments)
 
-    p = sub.add_parser("cusps", help="cusp-count statistics")
+    p = sub.add_parser("cusps", parents=[_mu_options()],
+                       help="cusp-count statistics")
     p.add_argument("--genus", "-g", type=int, required=True)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--mu-gap", type=float, default=None,
-                   help="set mu = mu_c - gap instead of --mu")
     p.add_argument("--target", type=float, default=None,
                    help="solve for mu with this mean cusp count")
     p.add_argument("--pmax", type=int, default=None,
@@ -413,13 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
                         "an error")
     p.set_defaults(fn=cmd_spectrum)
 
-    p = sub.add_parser("sample", help="seeded Monte Carlo samplers")
+    p = sub.add_parser("sample", parents=[_mu_options()],
+                       help="seeded Monte Carlo samplers")
     p.add_argument("--kind", choices=["poisson", "cusps"], required=True)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--genus", "-g", type=int, default=None)
-    p.add_argument("--mu", type=float, default=None)
-    p.add_argument("--mu-gap", type=float, default=None,
-                   help="set mu = mu_c - gap instead of --mu")
     p.add_argument("--count", type=int, default=1,
                    help="number of samples (seeds seed, seed+1, ...)")
     p.set_defaults(fn=cmd_sample)
@@ -447,15 +448,15 @@ def main(argv=None) -> int:
         ap.error("--count must be at least 1")
     if getattr(args, "mc_samples", 1) < 1:
         ap.error("--mc-samples must be at least 1")
-    cfg = RunConfig(cache_dir=args.cache_dir, precision=args.precision,
-                    format=args.format, seed=args.seed, budget=args.budget)
+    cache = PolyCache(args.cache_dir or None, args.budget)
+    cfg = RunConfig(cache=cache, precision=args.precision,
+                    format=args.format, seed=args.seed)
     try:
-        cache = cfg.cache
         # after the load the memo holds every row of the segment, so a run
         # that added no key leaves the file as it is
-        stored = cache.load_tau() if cache is not None else 0
+        stored = cache.load_tau()
         rc = args.fn(cfg, args)
-        if cache is not None and intersection.cache_size() > stored:
+        if intersection.cache_size() > stored:
             cache.save_tau()
         return rc
     except BudgetError as exc:

@@ -55,7 +55,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import mpmath
@@ -63,7 +62,7 @@ from mpmath import mp
 
 from tightwp import cache as twpcache
 from tightwp.errors import CacheError, DomainError, UnstableKeyError
-from tightwp.ring import (DEFAULT_PREC, Rational, rat_from_str, rat_to_str,
+from tightwp.ring import (DEFAULT_PREC, Rational, _parse_coeff, rat_to_str,
                           to_mpf)
 
 _R0 = Rational(0)
@@ -81,32 +80,17 @@ def dfact(n: int) -> int:
     return _DFACT[n]
 
 
-@dataclass(frozen=True)
-class TauKey:
-    """Canonical correlator key: genus plus indices sorted descending."""
-
-    genus: int
-    indices: tuple
-
-    @classmethod
-    def make(cls, genus: int, indices: Iterable[int]) -> "TauKey":
-        idx = tuple(sorted(map(int, indices), reverse=True))
-        if genus < 0:
-            raise DomainError(f"negative genus {genus}")
-        if idx and idx[-1] < 0:
-            raise DomainError(f"negative tau index in {idx}")
-        if 2 * genus - 2 + len(idx) <= 0:
-            raise UnstableKeyError(
-                f"unstable key g={genus}, n={len(idx)}")
-        return cls(genus, idx)
-
-    @property
-    def n(self) -> int:
-        return len(self.indices)
-
-    @property
-    def dimension(self) -> int:
-        return 3 * self.genus - 3 + self.n
+def _key(g: int, indices: Iterable[int]) -> tuple:
+    """(g, indices sorted descending) for a stable key; raises DomainError
+    on a negative genus or index and UnstableKeyError when 2g - 2 + n <= 0."""
+    idx = tuple(sorted(map(int, indices), reverse=True))
+    if g < 0:
+        raise DomainError(f"negative genus {g}")
+    if idx and idx[-1] < 0:
+        raise DomainError(f"negative tau index in {idx}")
+    if 2 * g - 2 + len(idx) <= 0:
+        raise UnstableKeyError(f"unstable key g={g}, n={len(idx)}")
+    return g, idx
 
 
 _memo: dict = {}    # (g, d) -> X(g; d), for every key the recursion reached
@@ -286,31 +270,25 @@ def _solve(key: tuple) -> int:
     return memo[key]
 
 
-def intersection_number(key, indices=None) -> Rational:
+def intersection_number(g: int, indices: Iterable[int]) -> Rational:
     """Exact <tau_{d_1} ... tau_{d_n}>_g.
 
-    Accepts a TauKey or (genus, indices).  Returns 0 whenever the
-    dimension constraint sum d_i = 3g - 3 + n fails; raises on unstable
-    or malformed keys.  A key already returned is served from _values
-    before any TauKey is built: only validated keys enter it.
+    Returns 0 whenever the dimension constraint sum d_i = 3g - 3 + n
+    fails; raises on unstable or malformed keys.  A key already returned
+    is served from _values before the key is validated: only validated
+    keys enter it.
     """
-    if isinstance(key, TauKey):
-        k = (key.genus, key.indices)
-    else:
-        k = (key, tuple(sorted(indices, reverse=True)))
-        val = _values.get(k)
-        if val is not None:
-            return val
-        key = TauKey.make(*k)
-        k = (key.genus, key.indices)
-    if sum(key.indices) != key.dimension:
-        return _R0
+    k = (g, tuple(sorted(indices, reverse=True)))
     val = _values.get(k)
-    if val is None:
-        x = _memo.get(k)
-        if x is None:
-            x = _solve(k)
-        val = _values[k] = Rational(x, _scale(*k))
+    if val is not None:
+        return val
+    g, d = k = _key(*k)
+    if sum(d) != 3 * g - 3 + len(d):
+        return _R0
+    x = _memo.get(k)
+    if x is None:
+        x = _solve(k)
+    val = _values[k] = Rational(x, _scale(*k))
     return val
 
 
@@ -328,8 +306,9 @@ def load_tau(path) -> int:
     """Merge a tau segment into the memo; returns its count of distinct
     keys (its row count, for a segment ``save_tau`` wrote).
 
-    Raises CacheError, and merges nothing, when a row is malformed,
-    unstable or not dimension-correct, when its value times
+    Raises CacheError, and merges nothing, when a row is malformed (its
+    value not a nonzero 'num/den', as for cell coefficients), unstable
+    or not dimension-correct, when its value times
     2^c(g) prod (2 d_i + 1)!! is not an integer, or when it disagrees
     with a value already in the memo.
     """
@@ -343,13 +322,11 @@ def load_tau(path) -> int:
             g, idx, s = row
             if type(g) is not int or any(type(i) is not int for i in idx):
                 raise ValueError("genus and indices must be integers")
-            key = TauKey.make(g, idx)
-            q = rat_from_str(s)
-        except (TypeError, ValueError, ZeroDivisionError,
-                DomainError) as exc:
+            g, d = k = _key(g, idx)
+            q = _parse_coeff(s)
+        except (TypeError, ValueError, DomainError) as exc:
             raise CacheError(f"{path}: bad tau row {row!r} ({exc})") from exc
-        k = (key.genus, key.indices)
-        if sum(key.indices) != key.dimension:
+        if sum(d) != 3 * g - 3 + len(d):
             raise CacheError(f"{path}: tau row {row!r} is not "
                              f"dimension-correct")
         x = q * _scale(*k)
@@ -383,8 +360,6 @@ def mp_asymptotic_ratio(g: int, pvec: Sequence[int],
         raise DomainError("dimension violation")
     k = len(pvec)
     t = 3 * g - 3 + k - sum(pvec)
-    if t < 0:
-        raise DomainError("dimension violation")
     exact = intersection_number(g, pvec + (2,) * t)
     with mp.workprec(prec):
         rhs = mpmath.mpf(15) ** k * mpmath.mpf(g) ** (2 * k - sum(pvec))

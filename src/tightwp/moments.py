@@ -6,11 +6,12 @@ and the moments are M_k = f_k(R); F(r) = sqrt(r)/(sqrt(2) pi)
 J_1(2 pi sqrt(2 r)) and f_k(r) = (-sqrt(2) pi / sqrt(r))^k
 J_k(2 pi sqrt(2 r)).
 
-Numeric side: one series routine, _f, gives every value: Z(r, mu) =
-F(r) - mu = r f_1(r)/c - mu and its slope f_0(r), mu_c = F(r_max) with
-r_max = j_0^2/(8 pi^2), the moments M_k = f_k(R), and through
-J_1(j_0) = 4 pi^2 mu_c / j_0 the constant alpha1.  A Newton step of
-solve_r takes Z and f_0 from one pass over the powers (c r)^m.  Only
+Numeric side: two series routines give every value.  _z_and_slope sums
+Z(r, mu) = F(r) - mu and its slope f_0(r) in one pass over the powers
+(c r)^m; it gives z_value, each Newton step of solve_r, and mu_c =
+F(r_max) with r_max = j_0^2/(8 pi^2).  _f sums f_k, which gives the
+moments M_k = f_k(R).  Through J_1(j_0) = 4 pi^2 mu_c / j_0, mu_c also
+gives the constant alpha1.  Only
 j_0, the first zero of J_0, comes from mpmath.  Monotone equations are
 solved by _newton_root, a Newton iteration that keeps a bracket around
 the root and bisects when a Newton step would leave it; the layer's
@@ -124,8 +125,7 @@ def _z_and_slope(r, mu, prec: int):
     """(Z(r, mu), f_0(r)) for a Newton step of solve_r, from one pass over
     p_m = (c r)^m / m!^2: f_0 = sum p_m and, as r f_1(r) / c = F(r),
     Z = r sum p_m / (m + 1) - mu.  Both sums get _f's guard bits,
-    stopping rule and raw-tuple arithmetic; Z is rounded to prec bits as
-    z_value rounds it."""
+    stopping rule and raw-tuple arithmetic; Z is rounded to prec bits."""
     wp = prec + 16
     c, _, cutoff = _series_start(0, wp)
     r = mpmath.mpf.mpf_convert_rhs(r)
@@ -144,16 +144,15 @@ def _z_and_slope(r, mu, prec: int):
 
 
 def z_value(r, mu, prec: int = DEFAULT_PREC):
-    """Z(r, mu) = F(r) - mu = r f_1(r)/c - mu, for 0 <= r <= 1; F is
-    sqrt(r)/(sqrt(2) pi) J_1(2 pi sqrt(2 r)) as a power series in r."""
+    """Z(r, mu) = F(r) - mu for 0 <= r <= 1, as a Newton step of solve_r
+    reads it from _z_and_slope; F is sqrt(r)/(sqrt(2) pi)
+    J_1(2 pi sqrt(2 r)) as a power series in r."""
     with mp.workprec(prec + 16):
         r = mpmath.mpf(r)
         mu = mpmath.mpf(mu)
         if not 0 <= r <= 1:
             raise DomainError(f"Z needs 0 <= r <= 1, got r={r}")
-        val = r * _f(1, r, prec) / (-2 * mp.pi ** 2) - mu
-    with mp.workprec(prec):
-        return +val
+    return _z_and_slope(r, mu, prec)[0]
 
 
 @functools.cache
@@ -260,6 +259,13 @@ class MomentFrame:
     @property
     def d_max(self) -> int:
         return len(self.moments) - 1
+
+    def length_scale(self):
+        """sqrt(-M_1/(3 M_0)) at the frame's precision: the factor
+        boltzmann.boundary_ratio puts on the lengths, and twice the c(mu)
+        of spectrum.normalization.  Needs d_max >= 1."""
+        with mp.workprec(self.precision):
+            return mpmath.sqrt(-self.moments[1] / (3 * self.moments[0]))
 
     def m_ratios(self) -> tuple:
         """(M_1/M_0, ..., M_D/M_0), the values substituted for m_k, formed
@@ -406,8 +412,6 @@ def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
     held = tightpoly.p_gn(g, n, cache=cache).volumes
     if len(held) <= pmax:
         series = t_volume_series(g, n, pmax, cache=cache)
-        if series.order < pmax:
-            raise DomainError("truncation order insufficient for pmax")
         held[:] = [PiPoly(c.q * math.factorial(p), c.j)
                    for p, c in enumerate(series.coeffs()[:pmax + 1])]
     return held[:pmax + 1]

@@ -123,13 +123,13 @@ def systole_tail(t, prec: int = DEFAULT_PREC):
 
 
 def normalization(mu, prec: int = DEFAULT_PREC):
-    """(c(mu), alpha_1^-1 (mu_c - mu)^(-1/4)) with c = sqrt(-M_1/(12 M_0)).
+    """(c(mu), alpha_1^-1 (mu_c - mu)^(-1/4)) with c = sqrt(-M_1/(12 M_0)),
+    half of ``MomentFrame.length_scale``.
 
     Both normalize tight lengths; their ratio tends to 1 at criticality.
     """
-    frame = cached_frame(mu, 1, prec)
     with mp.workprec(prec):
-        c = mpmath.sqrt(-frame.moments[1] / (12 * frame.moments[0]))
+        c = cached_frame(mu, 1, prec).length_scale() / 2
         gap = mu_critical(prec) - mpmath.mpf(mu)
         alt = gap ** mpmath.mpf("-0.25") / alpha1(prec)
         return +c, +alt
@@ -225,8 +225,9 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
 
     T_g(mu)^-1 2^-r int over the c(mu)-scaled windows of
     T_{g-r,2r}(x_1, x_1, ..., x_r, x_r, mu) x_1...x_r dx, where each cut
-    curve contributes two equal boundary entries and c(mu) is the first
-    output of ``normalization``.  The integrand is polynomial in the
+    curve contributes two equal boundary entries and c(mu) =
+    sqrt(-M_1/(12 M_0)) is half of ``MomentFrame.length_scale``, as in
+    ``normalization``.  The integrand is polynomial in the
     x_i^2: ``TightPoly.subst_m_mpf`` reads P_{g-r,2r} at the moment
     values grouped by ell-key, from the coefficients the cell holds as mpf
     (``PolyCell.mpf_coeffs``), and the group with key l is weighted by
@@ -244,7 +245,7 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
             raise DomainError("expected counts need 0 < mu < mu_c")
         cell = p_gn(g - r, 2 * r, cache=cache)
         frame = cached_frame(mu, cell.d, prec)
-        c = mpmath.sqrt(-frame.moments[1] / (12 * frame.moments[0]))
+        c = frame.length_scale() / 2
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
@@ -289,6 +290,9 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
     with mp.workprec(prec):
         muc = mu_critical(prec)
         target = windows.lambda_product(prec)
+        if target == 0:
+            raise DomainError("a zero-width window has lambda = 0, so the "
+                              "ratio to it is undefined")
         rows = []
         for g in g_range:
             mu_g = muc - mpmath.mpf(g) ** mpmath.mpf(-beta)

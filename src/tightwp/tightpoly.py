@@ -37,7 +37,6 @@ from tightwp.ring import TightPoly, mpf_list, to_mpf
 DEFAULT_BUDGET = 5_000_000
 
 
-
 def admissible(g: int, n: int) -> bool:
     """(g,n) for which P_{g,n} exists: n>=3 if g=0, n>=1 if g=1, else n>=0."""
     if g < 0 or n < 0:
@@ -183,15 +182,18 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
 
 
 def p_gn(g: int, n: int, cache: "PolyCache | None" = None,
-         budget: int = DEFAULT_BUDGET) -> PolyCell:
+         budget: int | None = None) -> PolyCell:
     """Build (or fetch) P_{g,n}.
 
     Inadmissible (g,n) raises DomainError; a cell of more than `budget`
     monomials raises BudgetError before the memo, the disk store or the
-    correlators are consulted.
+    correlators are consulted.  The budget defaults to the cache's, and
+    to DEFAULT_BUDGET without a cache.
     """
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
+    if budget is None:
+        budget = cache.budget if cache is not None else DEFAULT_BUDGET
     count = term_count(g, n)
     if count > budget:
         raise BudgetError(g, n, count, budget)
@@ -318,20 +320,27 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
 # -- persistent store ----------------------------------------------------------
 
 class PolyCache:
-    """On-disk cell store: poly/g{g}_n{n}.twp plus the tau memo segment."""
+    """The cell budget p_gn applies, and the on-disk cell store under root:
+    poly/g{g}_n{n}.twp plus the tau memo segment.  Without a root nothing
+    is read or written."""
 
-    def __init__(self, root):
-        self.root = Path(root)
+    def __init__(self, root=None, budget: int = DEFAULT_BUDGET):
+        self.root = Path(root) if root is not None else None
+        self.budget = budget
 
     def _cell_path(self, g: int, n: int) -> Path:
         return self.root / "poly" / f"g{g}_n{n}.twp"
 
     def store(self, cell: PolyCell) -> None:
+        if self.root is None:
+            return
         twpcache.write_twp(self._cell_path(cell.genus, cell.boundaries),
                            "poly", [cell.genus, cell.boundaries, cell.d],
                            cell.poly.to_columns())
 
     def load(self, g: int, n: int) -> PolyCell | None:
+        if self.root is None:
+            return None
         path = self._cell_path(g, n)
         got = twpcache.read_twp(path, "poly")
         if got is None:
@@ -357,9 +366,9 @@ class PolyCache:
 
     def save_tau(self) -> int:
         """Persist the intersection-number memo; returns entry count."""
-        return save_tau(self.tau_path())
+        return save_tau(self.tau_path()) if self.root is not None else 0
 
     def load_tau(self) -> int:
         """Merge a persisted tau segment into the memo; returns its count
         of distinct keys."""
-        return load_tau(self.tau_path())
+        return load_tau(self.tau_path()) if self.root is not None else 0

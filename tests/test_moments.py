@@ -56,6 +56,47 @@ class TestBessel:
             assert abs(got / ref - 1) <= mpmath.mpf(2) ** -105
 
 
+def old_z_value(r, mu, prec):
+    """Z as z_value summed it before it read _z_and_slope: r f_1(r)/c - mu
+    at prec + 16 bits, rounded to prec."""
+    with mp.workprec(prec + 16):
+        r = mpmath.mpf(r)
+        val = r * moments._f(1, r, prec) / (-2 * mp.pi ** 2) - mpmath.mpf(mu)
+    with mp.workprec(prec):
+        return +val
+
+
+class TestZValue:
+    """z_value is the Z of a solve_r Newton step, and mu_c keeps the bits
+    of the f_1 route."""
+
+    @pytest.mark.parametrize("prec", [53, 113, 200])
+    def test_is_the_solver_value(self, prec):
+        rmax = moments.r_max(prec)
+        with mp.workprec(prec + 16):
+            rs = [0, 0.25, 1, rmax / 3, rmax * 0.999, rmax]
+            mus = [0, 0.01, moments.mu_critical(prec) / 2]
+        for r in rs:
+            for mu in mus:
+                got = moments.z_value(r, mu, prec)
+                assert got._mpf_ == moments._z_and_slope(r, mu, prec)[0]._mpf_
+
+    @pytest.mark.parametrize("prec, r, mu", [
+        (53, 0.6249107736588403, 0.0008330686699409907),
+        (113, 0.6977261979318513, 0.021700591957749357)])
+    def test_moved_points_take_the_solver_value(self, prec, r, mu):
+        # two of the points where the f_1 route rounds Z one ulp apart
+        got = moments.z_value(r, mu, prec)
+        assert got._mpf_ == moments._z_and_slope(r, mu, prec)[0]._mpf_
+        assert got._mpf_ != old_z_value(r, mu, prec)._mpf_
+
+    @pytest.mark.parametrize("prec", [53, 80, 113, 160, 200, 300])
+    def test_mu_critical_keeps_its_bits(self, prec):
+        want = old_z_value(moments.r_max(prec), 0, prec)
+        assert moments.mu_critical(prec)._mpf_ == want._mpf_
+        assert moments.mu_critical.__wrapped__(prec)._mpf_ == want._mpf_
+
+
 class TestConstants:
     def test_j0_value(self):
         j0 = moments.find_j0(PREC)

@@ -109,6 +109,23 @@ class TestNormalization:
         with pytest.raises(DomainError):
             spectrum.normalization(math.nan, PREC)
 
+    @pytest.mark.parametrize("prec", [53, 90, 113, 160])
+    def test_scale_keeps_the_inline_bits(self, prec):
+        # c(mu) = sqrt(-M_1/(12 M_0)) and the boundary-ratio scale
+        # sqrt(-M_1/(3 M_0)), as normalization and boundary_ratio formed
+        # them before both read MomentFrame.length_scale
+        muc = moments.mu_critical(prec)
+        for frac in ("0", "1e-3", "0.5", "0.99", "0.9999999"):
+            with mp.workprec(prec + 16):
+                mu = muc * mpmath.mpf(frac)
+            frame = moments.cached_frame(mu, 1, prec)
+            m0, m1 = frame.moments
+            with mp.workprec(prec):
+                c = mpmath.sqrt(-m1 / (12 * m0))
+                scale = mpmath.sqrt(-m1 / (3 * m0))
+            assert spectrum.normalization(mu, prec)[0]._mpf_ == c._mpf_
+            assert frame.length_scale()._mpf_ == scale._mpf_
+
 
 class TestIntervalSet:
     def test_parse_and_fields(self):
@@ -193,6 +210,27 @@ class TestExpectedCounts:
         with pytest.raises(DomainError):
             spectrum.expected_nonseparating_count(3, 0.0, ws, PREC)
 
+    def test_count_keeps_the_inline_bits(self, monkeypatch):
+        def inline_scale(frame):
+            # twice the c(mu) = sqrt(-M_1/(12 M_0)) the count formed inline
+            with mp.workprec(frame.precision):
+                return 2 * mpmath.sqrt(-frame.moments[1]
+                                       / (12 * frame.moments[0]))
+
+        ws = IntervalSet.make([(0.5, 1.5)])
+        for prec in (53, 113):
+            muc = moments.mu_critical(prec)
+            for g, gap in ((3, "0.5"), (4, "1e-5")):
+                with mp.workprec(prec + 16):
+                    mu = muc * (1 - mpmath.mpf(gap))
+                got = spectrum.expected_nonseparating_count(g, mu, ws, prec)
+                with monkeypatch.context() as m:
+                    m.setattr(moments.MomentFrame, "length_scale",
+                              inline_scale)
+                    want = spectrum.expected_nonseparating_count(g, mu, ws,
+                                                                 prec)
+                assert got._mpf_ == want._mpf_, (prec, g)
+
 
 class TestConvergenceTable:
     def test_rejects_beta_two(self):
@@ -218,6 +256,13 @@ class TestConvergenceTable:
         ws = IntervalSet.make([(1.0, 2.0)])
         with pytest.raises(DomainError):
             spectrum.mp_convergence_table([2], 3.0, ws, PREC)
+
+    @pytest.mark.parametrize("text", ["1:1", "0.5:1,2:2"])
+    def test_zero_width_window_is_refused(self, text):
+        ws = IntervalSet.parse(text)
+        assert ws.lambda_product(PREC) == 0
+        with pytest.raises(DomainError, match="zero-width"):
+            spectrum.mp_convergence_table([4], 3.0, ws, PREC)
 
 
 class TestSamplers:

@@ -75,6 +75,29 @@ class TestBudget:
         finally:
             tightpoly._cells.update(saved)
 
+    def test_budget_rides_on_the_cache(self, poly_cache):
+        assert tightpoly.PolyCache().budget == tightpoly.DEFAULT_BUDGET
+        bare = tightpoly.PolyCache(budget=10)
+        with pytest.raises(BudgetError) as err:
+            tightpoly.p_gn(2, 2, cache=bare)
+        assert err.value.budget == 10
+        stored = tightpoly.PolyCache(poly_cache.root, budget=10)
+        with pytest.raises(BudgetError):
+            tightpoly.p_gn(2, 2, cache=stored)
+        # an explicit budget wins over the cache's
+        assert len(tightpoly.p_gn(2, 2, cache=bare, budget=45).poly) == 45
+
+    def test_cache_without_root_touches_no_disk(self, tmp_path,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        bare = tightpoly.PolyCache()
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        cell = tightpoly.p_gn(1, 2, cache=bare)
+        bare.store(cell)
+        assert bare.load(1, 2) is None
+        assert bare.save_tau() == bare.load_tau() == 0
+        assert list(tmp_path.iterdir()) == []
+
     def test_refusal_does_no_work(self):
         cells = dict(tightpoly._cells)
         memo = intersection.cache_size()
@@ -430,8 +453,11 @@ class TestStore:
         [0, [0, 0], "1/1"],
         [2, [1], "1/1"],
         [1, [1], "one"],
+        [0, [0, 0, 0], 1],
+        [0, [0, 0, 0], "1.0"],
+        [0, [0, 0, 0], "0/1"],
     ], ids=["not-scaled-integer", "conflict", "unstable", "dimension",
-            "malformed"])
+            "malformed", "int-value", "decimal-value", "zero-value"])
     def test_bad_tau_row_is_cache_error(self, poly_cache, row):
         intersection_number(2, (4,))
         twpcache.write_twp(poly_cache.tau_path(), "tau", [1], [row])
