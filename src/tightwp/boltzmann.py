@@ -8,8 +8,10 @@ LogValue, a sign and a natural-log magnitude, for the CLI's report.
 
 Callers read one cell at one moment vector for many L, so the moment
 values are put into P_{g,n} once per (g, n, mu, prec) and kept, grouped
-by ell-key (``cell_groups``); each evaluation is then a short sum over
-those groups.
+by ell-key; each evaluation is then a short sum over those groups.
+``cell_groups`` is the one reader of a cell's numeric groups: ``t_value``
+and ``spectrum.expected_nonseparating_count`` both go through it, so a
+count and a T-value at the same (cell, mu, prec) share one kernel pass.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from mpmath import mp
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
 from tightwp.moments import (_newton_root, cached_frame, mu_critical,
                              volume_extract)
-from tightwp.ring import DEFAULT_PREC, eval_ell_groups
-from tightwp.tightpoly import admissible, compositions, p_gn
+from tightwp.ring import DEFAULT_PREC, eval_ell_groups, mpf_list
+from tightwp.tightpoly import admissible, compositions, p_gn, term_count
 
 
 @dataclass(frozen=True)
@@ -48,20 +50,24 @@ class LogValue:
 
 
 def cell_groups(g: int, n: int, mu, prec: int = DEFAULT_PREC, cache=None):
-    """(frame, groups): the moment frame at mu and ``TightPoly.ell_groups``
-    of P_{g,n} at its m_k = M_k/M_0.
+    """(frame, groups): the moment frame at mu and the kernel groups
+    {ell-key: (G, A)} of P_{g,n} at its m_k = M_k/M_0, as raw mpf tuples.
 
-    Kept on the cell (``PolyCell.groups``) under (frame.mu, prec), where
-    frame.mu is the exact mpf ``cached_frame`` keys on; each new mu reads
-    the coefficients the cell holds as mpf at prec (``mpf_coeffs``).
+    Kept on the cell under (frame.mu, prec), where frame.mu is the exact
+    mpf ``cached_frame`` keys on, with the coefficients lifted to mpf once
+    per precision.  Refuses a precision below 53 bits.
     """
+    if prec < 53:
+        raise DomainError("precision must be at least 53 bits")
     cell = p_gn(g, n, cache=cache)
     frame = cached_frame(mu, cell.d, prec)
     key = (frame.mu, prec)
     groups = cell.groups.get(key)
     if groups is None:
-        groups = cell.groups[key] = cell.poly.ell_groups(
-            frame.m_ratios()[:cell.d], cell.mpf_coeffs(prec), prec)
+        if prec not in cell.lifts:
+            cell.lifts[prec] = mpf_list(cell.poly.terms.values(), prec)
+        groups = cell.groups[key] = cell.poly.subst_m_mpf(
+            frame.m_ratios()[:cell.d], cell.lifts[prec], prec)
     return frame, groups
 
 
@@ -159,15 +165,28 @@ class CuspPmf:
 # its truncation drop.
 TAIL_TOL = 1e-12
 
+# The most work cusp_pmf's own truncation may ask of volume_extract, in
+# units of term_count(g, 0) pmax^3.  Cold, a unit took 2.7e-8 to 8.2e-8 s
+# up to pmax 400 and 1.4e-7 s at (2, 700) (Python 3.11, one core of a
+# 2-vCPU host); (2, 400), 1.9e8 units, took 15.7 s.  So 2e8 caps it at
+# about 15 s (pmax 405 at g = 2, 262 at g = 3); pmax grows like
+# 1/(mu_c - mu), and the pmfs past the cap sit near mu_c.
+CUSP_PMF_WORK_MAX = 2 * 10 ** 8
+
 
 def cusp_pmf(g: int, mu, pmax: int | None = None,
              prec: int = DEFAULT_PREC, cache=None) -> CuspPmf:
     """P(N = p) for p = 0..pmax under the mu-Boltzmann measure.
 
-    Weights mu^p V_{g,p}(0)/p! come from the exact volume extraction;
-    pmax defaults to ceil(4 E[N]) + 40.  The dropped tail is certified
-    with a geometric ratio test and must stay below TAIL_TOL relative
-    mass, otherwise TailMassError asks for a larger pmax.
+    Weights mu^p V_{g,p}(0)/p! come from the exact volume extraction.
+    The dropped tail, at most w_pmax rho/(1 - rho) with rho the largest
+    of the last three weight ratios, must stay below TAIL_TOL relative
+    mass; with a given pmax, TailMassError asks for a larger one.
+    Without, pmax starts at ceil(4 E[N]) + 40 and grows until the tail
+    certifies, each time by the k with tail rho^k <= TAIL_TOL total (the
+    ratios fall as p grows, so one step usually does).  Before an
+    extraction, a pmax whose work passes CUSP_PMF_WORK_MAX is refused
+    (TailMassError).
     """
     if g < 2:
         raise DomainError("cusp statistics need g >= 2")
@@ -175,29 +194,36 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
         mu = mpmath.mpf(mu)
         if not 0 < mu < mu_critical(prec):
             raise DomainError("cusp_pmf needs 0 < mu < mu_c")
-        if pmax is None:
+        grow = pmax is None
+        if grow:
             pmax = int(mpmath.ceil(4 * mean_cusps(g, mu, prec, cache))) + 40
         if pmax < 4:
             raise TailMassError("pmax must be at least 4 to certify "
                                 "the dropped tail")
-        vols = volume_extract(g, 0, pmax, cache=cache)
-        weights = []
-        for p, v in enumerate(vols):
-            w = v.eval(prec) * mu ** p / mpmath.factorial(p)
-            weights.append(w)
-        total = mpmath.fsum(weights)
-        # geometric certification of the dropped tail
-        ratios = [weights[i + 1] / weights[i]
-                  for i in range(pmax - 3, pmax)]
-        rho = max(ratios)
-        if rho >= 1:
-            raise TailMassError(
-                f"tail ratios not contracting at pmax={pmax}; increase pmax")
-        tail = weights[-1] * rho / (1 - rho)
-        if tail > mpmath.mpf(TAIL_TOL) * total:
-            raise TailMassError(
-                f"certified tail mass {mpmath.nstr(tail / total, 5)} exceeds "
-                f"{TAIL_TOL}; increase pmax beyond {pmax}")
+        while True:
+            work = term_count(g, 0) * pmax ** 3
+            if grow and work > CUSP_PMF_WORK_MAX:
+                raise TailMassError(
+                    f"cusp_pmf({g}, {mpmath.nstr(mu, 8)}) needs pmax >= "
+                    f"{pmax}, {work:.3g} units of work, over the bound "
+                    f"{CUSP_PMF_WORK_MAX:.0e}; take mu further from mu_c")
+            weights = [v.eval(prec) * mu ** p / mpmath.factorial(p) for p, v
+                       in enumerate(volume_extract(g, 0, pmax, cache=cache))]
+            total = mpmath.fsum(weights)
+            rho = max(weights[i + 1] / weights[i]
+                      for i in range(pmax - 3, pmax))
+            if rho >= 1:
+                raise TailMassError(f"tail ratios not contracting at "
+                                    f"pmax={pmax}; increase pmax")
+            tail = weights[-1] * rho / (1 - rho)
+            if tail <= TAIL_TOL * total:
+                break
+            if not grow:
+                raise TailMassError(
+                    f"certified tail mass {mpmath.nstr(tail / total, 5)} "
+                    f"exceeds {TAIL_TOL}; increase pmax beyond {pmax}")
+            pmax += int(mpmath.ceil(mpmath.log(TAIL_TOL * total / tail)
+                                    / mpmath.log(rho)))
         raw_mass = float(total / t_value(g, 0, [], mu, prec, cache))
         probs = tuple(float(w / total) for w in weights)
         return CuspPmf(probs=probs, raw_mass=raw_mass,

@@ -238,8 +238,11 @@ def cmd_cusps(cfg: RunConfig, args) -> int:
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     windows = spectrum.IntervalSet.parse(args.windows)
-    lo, hi = (int(x) for x in args.g_range.split(":"))
-    g_range = range(lo, hi + 1)
+    lo, _, hi = args.g_range.partition(":")
+    if not (lo.isdigit() and hi.isdigit() and int(lo) <= int(hi)):
+        raise DomainError(f"--g-range must be lo:hi with integers "
+                          f"0 <= lo <= hi, got {args.g_range!r}")
+    g_range = range(int(lo), int(hi) + 1)
     if args.beta <= 2 and args.allow_beta:
         print(f"warning: beta={args.beta} is outside the limit regime "
               "(needs beta > 2); exploring anyway", file=sys.stderr)

@@ -3,9 +3,9 @@
 Four types, each immutable after construction and safe to share across
 threads:
 
-* ``Rational``     -- arbitrary-precision fractions (gmpy2.mpq, with a
-                      ``fractions.Fraction`` fallback).  Always stored in
-                      lowest terms with positive denominator.
+* ``Rational``     -- ``fractions.Fraction``: arbitrary-precision
+                      fractions, always in lowest terms with a positive
+                      denominator.
 * ``MuSeries``     -- truncated power series in mu whose coefficients are
                       single powers of pi^2: one int numerator per
                       power of mu over one common denominator, plus a
@@ -24,15 +24,15 @@ threads:
                       substitutions that put values in for the m_k,
                       grouped by ell-exponent.  ``subst_m`` puts in exact
                       MuSeries values.  ``subst_m_mpf`` is the numeric
-                      kernel: it runs on mpmath's raw mpf tuples and forms
-                      each term's product q prod m_k^e_k once, so a signed
-                      sum and a sum of magnitudes come from one pass.  A
-                      numeric evaluation is two steps: ``ell_groups`` (one
-                      kernel pass) and ``eval_ell_groups``, which sums the
-                      groups at the ell-values and tracks cancellation.
-                      The mpf lift of the coefficients (``mpf_list``) is
-                      formed once per cell and precision and held by the
-                      caller (``tightpoly.PolyCell.mpf_coeffs``), so no
+                      kernel, with one mode: it runs on mpmath's raw mpf
+                      tuples, forms each term's product q prod m_k^e_k
+                      once, and returns each group's signed sum and sum
+                      of magnitudes as raw tuples from that one pass.
+                      ``eval_ell_groups`` reads those tuples at the
+                      ell-values and tracks cancellation.  A cell's
+                      groups are read through ``boltzmann.cell_groups``,
+                      which also holds the mpf lift of the coefficients
+                      (``mpf_list``) once per cell and precision, so no
                       pass converts a coefficient again.  The disk store
                       holds a cell in term order as ``to_columns`` gives
                       it; ``to_obj`` is the sorted display form.
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import math
 import operator
+from fractions import Fraction as Rational
 from itertools import chain, compress
 from typing import Iterable, Mapping, Sequence
 
@@ -60,11 +61,6 @@ from mpmath.libmp import (fzero, from_float, from_int, mpf_abs, mpf_add,
                           mpf_div, mpf_lt, mpf_mul, mpf_pos, round_nearest)
 
 from tightwp.errors import DomainError, ShapeError
-
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # gmpy2 is optional (the "fast" extra)
-    from fractions import Fraction as Rational
 
 DEFAULT_PREC = 113
 CANCEL_THRESHOLD = 1e-6
@@ -431,8 +427,8 @@ class TightPoly:
             out[ell_key] = acc if cur is None else cur + acc
         return out
 
-    def subst_m_mpf(self, m_values: Sequence, coeffs: Sequence, prec: int,
-                    magnitudes: bool = False) -> dict:
+    def subst_m_mpf(self, m_values: Sequence, coeffs: Sequence,
+                    prec: int) -> dict:
         """The numeric kernel: the m_k put in at prec, grouped by
         ell-exponent, on raw mpf tuples.
 
@@ -442,13 +438,13 @@ class TightPoly:
         product q prod m_k^e_k is formed once, q first and the powers in
         variable order, each power once per call by repeated
         multiplication; every operation is a libmp call rounded to nearest
-        at prec.  Returns {ell-key: G}, or {ell-key: (G, A)} with
-        magnitudes, as raw mpf tuples: G sums the products and A their
-        absolute values, each key's first term taken as formed and the
-        rest added in term order.  Round-to-nearest is odd-symmetric, so
-        |round(a b)| = round(|a| |b|), and since the coefficients are
-        already at prec, A equals the sum of |q| prod |m_k|^e_k formed on
-        its own: one pass serves both sums.
+        at prec.  Returns {ell-key: (G, A)} as raw mpf tuples: G sums the
+        products and A their absolute values, each key's first term taken
+        as formed and the rest added in term order.  Round-to-nearest is
+        odd-symmetric, so |round(a b)| = round(|a| |b|), and since the
+        coefficients are already at prec, A equals the sum of |q| prod
+        |m_k|^e_k formed on its own: one pass serves both sums.
+        ``eval_ell_groups`` finishes the evaluation at any ell-values.
         """
         if len(m_values) != self.n_m:
             raise ShapeError(f"need {self.n_m} m-values, got {len(m_values)}")
@@ -463,32 +459,12 @@ class TightPoly:
                               else _mpf_power(tab, e, prec), prec, _RN)
             ell_key = key[:n]
             cur = out.get(ell_key)
-            if not magnitudes:
-                out[ell_key] = acc if cur is None else \
-                    mpf_add(cur, acc, prec, _RN)
-            elif cur is None:
+            if cur is None:
                 out[ell_key] = (acc, mpf_abs(acc))
             else:
                 out[ell_key] = (mpf_add(cur[0], acc, prec, _RN),
                                 mpf_add(cur[1], mpf_abs(acc), prec, _RN))
         return out
-
-    def ell_groups(self, m_values, coeffs: Sequence,
-                   prec: int = DEFAULT_PREC) -> dict:
-        """The m_k put in numerically, grouped by ell-exponent.
-
-        ``coeffs`` is ``mpf_list(self.terms.values(), prec)``, which the
-        caller holds.  Returns {ell-key: (G, A)} with G = sum q prod
-        m_k^e_k and A = sum |q| prod |m_k|^e_k over the key's terms, as
-        mpf at prec, from one ``subst_m_mpf`` pass.  ``eval_ell_groups``
-        finishes the evaluation at any ell-values, so a caller that reads
-        one m-vector at many lengths substitutes it once.
-        """
-        if prec < 53:
-            raise DomainError("precision must be at least 53 bits")
-        make = mp.make_mpf
-        return {k: (make(g), make(a)) for k, (g, a) in self.subst_m_mpf(
-            m_values, coeffs, prec, magnitudes=True).items()}
 
     # -- canonical order and serialization ---------------------------------
 
@@ -565,8 +541,9 @@ def _parse_coeff(s) -> Rational:
 
 
 def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):
-    """Finish a ``TightPoly.ell_groups`` evaluation at the ell-values.
+    """Finish a ``TightPoly.subst_m_mpf`` evaluation at the ell-values.
 
+    ``groups`` is the kernel's {ell-key: (G, A)} of raw mpf tuples.
     Returns (value, abs_sum, cancelled) with value = sum_l G_l prod
     ell_i^l_i and abs_sum = sum_l A_l prod |ell_i|^l_i, which is the sum
     of |term| over the polynomial's terms.  cancelled is set when |value|
@@ -593,7 +570,6 @@ def eval_ell_groups(groups: Mapping, ell_values, prec: int = DEFAULT_PREC):
                                      for x in pows[1:]]))
     total = abs_total = fzero
     for key, (val, mag) in groups.items():
-        val, mag = val._mpf_, mag._mpf_
         for tab, e in zip(tabs, key):
             if e:
                 if tab is None:

@@ -6,7 +6,8 @@ expected counts of non-separating tight multicurves via the tight
 integration formula (the integrand is polynomial, so every window
 integral is an exact antiderivative evaluation), a convergence-table
 driver for the headline limit, and seeded Monte Carlo samplers for
-comparison runs.
+comparison runs.  A count reads its cut cell through
+``boltzmann.cell_groups``, the memo ``t_value`` reads too.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ from typing import Sequence
 import mpmath
 from mpmath import mp
 
-from tightwp.boltzmann import cusp_pmf, t_value
+from tightwp.boltzmann import cell_groups, cusp_pmf, t_value
 from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
 from tightwp.ring import DEFAULT_PREC
-from tightwp.tightpoly import admissible, p_gn
+from tightwp.tightpoly import admissible
 
 
 def _rng(seed: int) -> random.Random:
@@ -227,13 +228,13 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
     T_{g-r,2r}(x_1, x_1, ..., x_r, x_r, mu) x_1...x_r dx, where each cut
     curve contributes two equal boundary entries and c(mu) =
     sqrt(-M_1/(12 M_0)) is half of ``MomentFrame.length_scale``, as in
-    ``normalization``.  The integrand is polynomial in the
-    x_i^2: ``TightPoly.subst_m_mpf`` reads P_{g-r,2r} at the moment
-    values grouped by ell-key, from the coefficients the cell holds as mpf
-    (``PolyCell.mpf_coeffs``), and the group with key l is weighted by
-    prod_i w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.
-    T_g(mu) is ``boltzmann.t_value`` at (g, 0), so the count is one
-    plain mpf quotient.
+    ``normalization``.  The integrand is polynomial in the x_i^2:
+    ``boltzmann.cell_groups`` gives P_{g-r,2r} at the moment values
+    grouped by ell-key, the same held groups ``t_value`` reads, and the
+    signed sum of the group with key l is weighted by prod_i
+    w_i[l_{2i} + l_{2i+1}], the closed-form window integrals.  T_g(mu)
+    is ``boltzmann.t_value`` at (g, 0), so the count is one plain mpf
+    quotient.
     """
     r = windows.total_order
     if g - r < 0 or not admissible(g - r, 2 * r):
@@ -243,26 +244,18 @@ def expected_nonseparating_count(g: int, mu, windows: IntervalSet,
         mu = mpmath.mpf(mu)
         if not 0 < mu < mu_critical(prec):
             raise DomainError("expected counts need 0 < mu < mu_c")
-        cell = p_gn(g - r, 2 * r, cache=cache)
-        frame = cached_frame(mu, cell.d, prec)
+        frame, groups = cell_groups(g - r, 2 * r, mu, prec, cache)
         c = frame.length_scale() / 2
         bounds = [(c * mpmath.mpf(a), c * mpmath.mpf(b))
                   for a, b in windows.expanded()]
 
-        groups = cell.poly.subst_m_mpf(frame.m_ratios(),
-                                       cell.mpf_coeffs(prec), prec)
         # window-power table: w_table[i][Q] = int_{ca}^{cb} x^(2Q+1) dx
         max_q = max((sum(key) for key in groups), default=0)
-        w_table = []
-        for lo, hi in bounds:
-            col = []
-            for qq in range(max_q + 1):
-                t = 2 * qq + 2
-                col.append((hi ** t - lo ** t) / t)
-            w_table.append(col)
+        w_table = [[(hi ** t - lo ** t) / t
+                    for t in range(2, 2 * max_q + 3, 2)] for lo, hi in bounds]
 
         total = mpmath.mpf(0)
-        for key, t in groups.items():
+        for key, (t, _) in groups.items():
             t = mp.make_mpf(t)
             for i in range(r):
                 t *= w_table[i][key[2 * i] + key[2 * i + 1]]
@@ -281,8 +274,11 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
     mu_g = mu_c - g^(-beta).
 
     The limit regime needs mu_c - mu_g = o(g^-2), hence the beta > 2
-    gate; pass allow_small_beta=True to explore outside it anyway.
+    gate; pass allow_small_beta=True to explore outside it anyway.  An
+    empty genus range is refused.
     """
+    if not g_range:
+        raise DomainError("the genus range is empty")
     if not beta > 2 and not allow_small_beta:
         raise DomainError(
             f"beta={beta} rejected: the limit law needs mu_c - mu_g "
@@ -295,6 +291,9 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
                               "ratio to it is undefined")
         rows = []
         for g in g_range:
+            if g < 1:
+                raise DomainError(f"genus {g} is below 1; start the genus "
+                                  "range higher")
             mu_g = muc - mpmath.mpf(g) ** mpmath.mpf(-beta)
             if mu_g <= 0:
                 raise DomainError(

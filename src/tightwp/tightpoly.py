@@ -54,9 +54,8 @@ class PolyCell:
 
     ``groups``, ``lifts`` and ``volumes`` hold values derived from
     ``poly`` and are filled by their readers: ``boltzmann.cell_groups``
-    keeps the ell-groups per (exact mu, prec), ``mpf_coeffs`` the
-    coefficients as mpf per prec (one list aligned with ``poly.terms``,
-    which every ``subst_m_mpf`` pass on the cell reads),
+    keeps the kernel's ell-groups per (exact mu, prec) and the
+    coefficients as mpf per prec (one list aligned with ``poly.terms``),
     ``moments.volume_extract`` the exact volumes.  They live and die with
     the cell, so a cleared or replaced cell never serves them.
     """
@@ -75,13 +74,6 @@ class PolyCell:
     def d(self) -> int:
         """Top moment index D = 3g - 3 + n (also the graded degree)."""
         return 3 * self.genus - 3 + self.boundaries
-
-    def mpf_coeffs(self, prec: int) -> list:
-        """``ring.mpf_list`` of the coefficients at prec, formed once."""
-        out = self.lifts.get(prec)
-        if out is None:
-            out = self.lifts[prec] = mpf_list(self.poly.terms.values(), prec)
-        return out
 
 
 def normalize_pvec(pvec: Sequence[int]) -> tuple:
@@ -312,7 +304,7 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
     part = poly.ell_slice(qvec)
     got = part.subst_m_mpf(m_vals, mpf_list(part.terms.values(), prec), prec)
     with mp.workprec(prec):
-        total = mp.make_mpf(got[qvec]) if qvec in got else mpmath.mpf(0)
+        total = mp.make_mpf(got[qvec][0]) if qvec in got else mpmath.mpf(0)
         scale = (-m_vals[0] / 3) ** sum(qvec)
         return +(total * scale)
 

@@ -3,6 +3,7 @@ evaluations and their classical degenerations."""
 
 import gc
 import math
+import time
 import warnings
 import weakref
 
@@ -145,8 +146,7 @@ class TestEllGroups:
                     want, want_abs = _per_term_eval(cell.poly, ells, m_vals,
                                                     PREC)
                     value, abs_sum, _ = ring.eval_ell_groups(
-                        cell.poly.ell_groups(m_vals, cell.mpf_coeffs(PREC),
-                                             PREC), ells, PREC)
+                        boltzmann.cell_groups(g, n, mu, PREC)[1], ells, PREC)
                     assert _rel(value, want) < tol
                     assert _rel(abs_sum, want_abs) < tol
                     t = boltzmann.t_volume(g, n, L, mu, PREC)
@@ -206,7 +206,7 @@ class TestEllGroups:
     def test_new_mu_lifts_no_coefficient(self, monkeypatch):
         monkeypatch.setattr(tightpoly, "_cells", {})
         lifted = []
-        mpf_list = tightpoly.mpf_list
+        mpf_list = boltzmann.mpf_list
 
         def counting(qs, prec):
             lifted.append(prec)
@@ -215,7 +215,7 @@ class TestEllGroups:
         def refuse(*args):
             raise AssertionError("a coefficient was converted per pass")
 
-        monkeypatch.setattr(tightpoly, "mpf_list", counting)
+        monkeypatch.setattr(boltzmann, "mpf_list", counting)
         monkeypatch.setattr(ring, "to_mpf", refuse)
         muc = moments.mu_critical(PREC)
         boltzmann.cell_groups(2, 2, muc / 2, PREC)
@@ -223,7 +223,8 @@ class TestEllGroups:
         boltzmann.cell_groups(2, 2, muc / 3, PREC)
         spectrum.expected_nonseparating_count(
             3, muc / 4, spectrum.IntervalSet.make([(0.5, 1.5)]), PREC)
-        assert len(tightpoly.p_gn(2, 2).groups) == 2
+        # the count leaves its groups on its cut cell P_{2,2}
+        assert len(tightpoly.p_gn(2, 2).groups) == 3
         assert lifted == [PREC, PREC]  # the second is P_{3,0} for T_3
         boltzmann.cell_groups(2, 2, muc / 3, 80)
         assert lifted == [PREC, PREC, 80]
@@ -231,7 +232,7 @@ class TestEllGroups:
     def test_lifts_die_with_their_cell(self, monkeypatch):
         monkeypatch.setattr(tightpoly, "_cells", {})
         held = []
-        mpf_list = tightpoly.mpf_list
+        mpf_list = boltzmann.mpf_list
 
         class Lifts(list):
             """A list that takes a weak reference."""
@@ -241,7 +242,7 @@ class TestEllGroups:
             held.append(weakref.ref(out))
             return out
 
-        monkeypatch.setattr(tightpoly, "mpf_list", tracked)
+        monkeypatch.setattr(boltzmann, "mpf_list", tracked)
         boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC)
         assert len(held) == 1
         assert tightpoly.p_gn(2, 1).lifts[PREC] is held[0]()
@@ -323,6 +324,42 @@ class TestCuspPmf:
         muc = moments.mu_critical(PREC)
         with pytest.raises(TailMassError):
             boltzmann.cusp_pmf(2, muc / 2, pmax=8, prec=PREC)
+
+    @pytest.mark.parametrize("g, mu_over_muc, default_pmax", [
+        (3, None, 74), (2, 0.6, 55)])
+    def test_default_pmax_grows_until_the_tail_certifies(
+            self, g, mu_over_muc, default_pmax):
+        # at ceil(4 E[N]) + 40 the certified tail is still about 3e-11
+        muc = moments.mu_critical(PREC)
+        mu = 0.02 if mu_over_muc is None else muc * mu_over_muc
+        with pytest.raises(TailMassError, match=f"beyond {default_pmax}"):
+            boltzmann.cusp_pmf(g, mu, pmax=default_pmax, prec=PREC)
+        pmf = boltzmann.cusp_pmf(g, mu, prec=PREC)
+        assert default_pmax < len(pmf) - 1 < default_pmax + 20
+        assert pmf.tail_bound <= boltzmann.TAIL_TOL
+        assert abs(pmf.raw_mass - 1) < 1e-12
+        assert pmf.probs == boltzmann.cusp_pmf(g, mu, len(pmf) - 1,
+                                               PREC).probs
+
+    def test_certified_default_keeps_its_pmax(self):
+        muc = moments.mu_critical(PREC)
+        pmf = boltzmann.cusp_pmf(2, muc / 2, prec=PREC)
+        mean = boltzmann.mean_cusps(2, muc / 2, PREC)
+        assert len(pmf) - 1 == int(mpmath.ceil(4 * mean)) + 40
+
+    def test_near_critical_default_is_refused_before_extraction(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("volumes extracted past the work bound")
+
+        monkeypatch.setattr(boltzmann, "volume_extract", refuse)
+        muc = moments.mu_critical(PREC)
+        with mp.workprec(PREC):
+            mu = muc * (1 - mpmath.mpf(10) ** -3)
+        start = time.perf_counter()
+        with pytest.raises(TailMassError, match="work"):
+            boltzmann.cusp_pmf(3, mu, prec=PREC)
+        assert time.perf_counter() - start < 1.0
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -423,12 +460,9 @@ def test_crude_bound_ratio_stays_bounded():
     ratios = []
     with mp.workprec(PREC):
         for e in (2, 3, 4, 6, 8, 10):
-            fr = moments.cached_frame(muc - mpmath.mpf(10) ** -e, cell.d,
-                                      PREC)
-            val, _, _ = ring.eval_ell_groups(
-                cell.poly.ell_groups(fr.m_ratios()[:cell.d],
-                                     cell.mpf_coeffs(PREC), PREC),
-                [1.0], PREC)
+            fr, groups = boltzmann.cell_groups(
+                g, n, muc - mpmath.mpf(10) ** -e, PREC)
+            val, _, _ = ring.eval_ell_groups(groups, [1.0], PREC)
             scale = (-fr.moments[1] / fr.moments[0]) ** cell.d
             ratios.append(abs(float(val / scale)))
     assert all(math.isfinite(r) for r in ratios)

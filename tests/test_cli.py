@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -185,6 +186,13 @@ class TestSpectrum:
         assert code == 2 and out == ""
         assert "zero-width" in err
 
+    @pytest.mark.parametrize("g_range", ["5:3", "3", "3:x", "3:4:5"])
+    def test_bad_genus_range_exits_two(self, capsys, g_range):
+        code, out, err = run(capsys, "spectrum", "--g-range", g_range,
+                             "--beta", "4", "--windows", "1:2")
+        assert code == 2 and out == ""
+        assert "--g-range" in err
+
     def test_beta_override_warns(self, capsys):
         code, out, err = run(capsys, "spectrum", "--g-range", "6:6",
                              "--beta", "2", "--windows", "1:2",
@@ -246,6 +254,19 @@ class TestSample:
     def test_cusp_kind_needs_args(self, capsys):
         code, _, err = run(capsys, "sample", "--kind", "cusps")
         assert code == 2
+
+    def test_cusp_draws_truncate_their_own_pmf(self, capsys):
+        # the default pmax, 74 here, leaves a certified tail of 3.2e-11
+        code, out, _ = run(capsys, "--format", "json", "sample", "--kind",
+                           "cusps", "-g", "3", "--mu", "0.02", "--count", "3")
+        assert code == 0
+        assert len(json.loads(out)["draws"]) == 3
+
+    def test_near_critical_cusp_draws_are_refused(self, capsys):
+        code, out, err = run(capsys, "sample", "--kind", "cusps", "-g", "3",
+                             "--mu-gap", "3e-5")
+        assert code == 2 and out == ""
+        assert "work" in err and "mu_c" in err
 
     @pytest.mark.parametrize("count", ["0", "-2"])
     def test_count_below_one_is_refused(self, capsys, count):
@@ -457,3 +478,20 @@ class TestCacheBehaviour:
                            "--genus", "1", "--indices", "1")
         assert code == 4
         assert "cache" in err
+
+
+def _readme_cli_lines():
+    """The tightwp command lines of the README's CLI block, comments
+    stripped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [line.split("#", 1)[0].split()[1:]
+            for line in block.splitlines() if line.startswith("tightwp ")]
+
+
+def test_readme_cli_examples_parse():
+    lines = _readme_cli_lines()
+    assert len(lines) == 10
+    parser = cli.build_parser()
+    for argv in lines:
+        assert parser.parse_args(argv).fn.__name__ == f"cmd_{argv[0]}"

@@ -1,11 +1,12 @@
 """The raw-tuple numeric kernels against the mpf-object code they replaced.
 
 The moment series (``moments._f``, ``moments._z_and_slope``), the
-m-substitution (``TightPoly.subst_m_mpf`` behind ``ell_groups``) and the
-ell-evaluation (``ring.eval_ell_groups``) run on mpmath.libmp tuples.  The
-object-based versions below are kept as the reference: they make the same
-operations in the same order through the mpf operators, so every output
-must be ``_mpf_``-identical, not merely close.
+m-substitution (``TightPoly.subst_m_mpf``, read through
+``boltzmann.cell_groups``) and the ell-evaluation
+(``ring.eval_ell_groups``) run on mpmath.libmp tuples.  The object-based
+versions below are kept as the reference: they make the same operations
+in the same order through the mpf operators, so every output must be
+``_mpf_``-identical, not merely close.
 """
 
 import mpmath
@@ -80,20 +81,12 @@ def ref_subst_m(poly, m_values, coeffs):
     return out
 
 
-def ref_ell_groups(poly, m_values, coeffs, prec):
-    """Two passes: a signed one and one over absolute values."""
-    with mp.workprec(prec):
-        m = [mpmath.mpf(v) for v in m_values]
-        signed = ref_subst_m(poly, m, coeffs)
-        unsigned = ref_subst_m(poly, [abs(v) for v in m], map(abs, coeffs))
-    return {k: (v, unsigned[k]) for k, v in signed.items()}
-
-
 def ref_eval_ell_groups(groups, ell_values, prec):
     with mp.workprec(prec):
         pows = [[None, mpmath.mpf(v)] for v in ell_values]
         total = abs_total = mpmath.mpf(0)
         for key, (val, mag) in groups.items():
+            val, mag = mp.make_mpf(val), mp.make_mpf(mag)
             for i, e in enumerate(key):
                 if e:
                     x = _power(pows[i], e)
@@ -106,14 +99,14 @@ def ref_eval_ell_groups(groups, ell_values, prec):
         return total, abs_total, cancelled
 
 
-def ref_kernel(self, m_values, coeffs, prec, magnitudes=False):
-    """The object path behind the kernel's interface, as raw tuples."""
-    if magnitudes:
-        return {k: (g._mpf_, a._mpf_) for k, (g, a) in
-                ref_ell_groups(self, m_values, coeffs, prec).items()}
+def ref_kernel(self, m_values, coeffs, prec):
+    """The object path behind the kernel's interface, as raw tuples: two
+    passes, a signed one and one over absolute values."""
     with mp.workprec(prec):
         m = [mpmath.mpf(v) for v in m_values]
-        return {k: v._mpf_ for k, v in ref_subst_m(self, m, coeffs).items()}
+        signed = ref_subst_m(self, m, coeffs)
+        unsigned = ref_subst_m(self, [abs(v) for v in m], map(abs, coeffs))
+    return {k: (v._mpf_, unsigned[k]._mpf_) for k, v in signed.items()}
 
 
 def use_reference(monkeypatch):
@@ -210,9 +203,9 @@ class TestRing:
             for (g, n), cell in built_cells.items():
                 m_vals = frame.m_ratios()[:cell.d]
                 coeffs = ring.mpf_list(cell.poly.terms.values(), prec)
-                got = cell.poly.ell_groups(m_vals, coeffs, prec)
-                want = ref_ell_groups(cell.poly, m_vals, coeffs, prec)
-                assert raw(got) == raw(want), (g, n, mu, prec)
+                got = cell.poly.subst_m_mpf(m_vals, coeffs, prec)
+                want = ref_kernel(cell.poly, m_vals, coeffs, prec)
+                assert got == want, (g, n, mu, prec)
                 for L in lengths[n]:
                     with mp.workprec(prec):
                         ells = [mpmath.mpf(x) ** 2 for x in L]
@@ -226,9 +219,9 @@ class TestRing:
         for prec in PRECS:
             coeffs = ring.mpf_list(poly.terms.values(), prec)
             m_vals = [-1.0 + 1e-12]
-            got = poly.ell_groups(m_vals, coeffs, prec)
-            want = ref_ell_groups(poly, m_vals, coeffs, prec)
-            assert raw(got) == raw(want)
+            got = poly.subst_m_mpf(m_vals, coeffs, prec)
+            want = ref_kernel(poly, m_vals, coeffs, prec)
+            assert got == want
             for ell in ([0], [0.7], [-3.5]):
                 a = ring.eval_ell_groups(got, ell, prec)
                 b = ref_eval_ell_groups(want, ell, prec)
@@ -237,12 +230,17 @@ class TestRing:
 
     @pytest.mark.parametrize("prec", PRECS)
     def test_signed_kernel_is_the_one_pass_subst(self, prec, built_cells):
+        # the signed sums of the one pass are the signed-only object subst
         frame = moments.make_frame(mus(prec)[2], D_MAX, prec)
         for cell in built_cells.values():
             m_vals = frame.m_ratios()[:cell.d]
             coeffs = ring.mpf_list(cell.poly.terms.values(), prec)
-            assert cell.poly.subst_m_mpf(m_vals, coeffs, prec) == \
-                ref_kernel(cell.poly, m_vals, coeffs, prec)
+            with mp.workprec(prec):
+                want = ref_subst_m(cell.poly, [mpmath.mpf(v) for v in m_vals],
+                                   coeffs)
+            assert {k: g for k, (g, _) in cell.poly.subst_m_mpf(
+                m_vals, coeffs, prec).items()} == \
+                {k: v._mpf_ for k, v in want.items()}
 
 
 class TestEndToEnd:

@@ -257,6 +257,18 @@ class TestConvergenceTable:
         with pytest.raises(DomainError):
             spectrum.mp_convergence_table([2], 3.0, ws, PREC)
 
+    def test_genus_zero_is_refused(self):
+        # 0^(-beta) is not formed, so no ZeroDivisionError escapes
+        ws = IntervalSet.make([(1.0, 2.0)])
+        with pytest.raises(DomainError, match="below 1"):
+            spectrum.mp_convergence_table(range(0, 3), 4.0, ws, PREC)
+
+    @pytest.mark.parametrize("g_range", [range(5, 4), []])
+    def test_empty_genus_range_is_refused(self, g_range):
+        ws = IntervalSet.make([(1.0, 2.0)])
+        with pytest.raises(DomainError, match="empty"):
+            spectrum.mp_convergence_table(g_range, 4.0, ws, PREC)
+
     @pytest.mark.parametrize("text", ["1:1", "0.5:1,2:2"])
     def test_zero_width_window_is_refused(self, text):
         ws = IntervalSet.parse(text)
