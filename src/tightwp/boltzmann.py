@@ -165,11 +165,11 @@ class CuspPmf:
 # its truncation drop.
 TAIL_TOL = 1e-12
 
-# The most work cusp_pmf's own truncation may ask of volume_extract, in
-# units of term_count(g, 0) pmax^3.  Cold, a unit took 2.7e-8 to 8.2e-8 s
-# up to pmax 400 and 1.4e-7 s at (2, 700) (Python 3.11, one core of a
-# 2-vCPU host); (2, 400), 1.9e8 units, took 15.7 s.  So 2e8 caps it at
-# about 15 s (pmax 405 at g = 2, 262 at g = 3); pmax grows like
+# The most work cusp_pmf may ask of volume_extract, for a given or a grown
+# pmax, in units of term_count(g, 0) pmax^3.  Cold, a unit took 2.7e-8 to
+# 8.2e-8 s up to pmax 400 and 1.4e-7 s at (2, 700) (Python 3.11, one core
+# of a 2-vCPU host); (2, 400), 1.9e8 units, took 15.7 s.  So 2e8 caps it
+# at about 15 s (pmax 405 at g = 2, 262 at g = 3); pmax grows like
 # 1/(mu_c - mu), and the pmfs past the cap sit near mu_c.
 CUSP_PMF_WORK_MAX = 2 * 10 ** 8
 
@@ -186,7 +186,7 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
     certifies, each time by the k with tail rho^k <= TAIL_TOL total (the
     ratios fall as p grows, so one step usually does).  Before an
     extraction, a pmax whose work passes CUSP_PMF_WORK_MAX is refused
-    (TailMassError).
+    (TailMassError), a given one as well as a grown one.
     """
     if g < 2:
         raise DomainError("cusp statistics need g >= 2")
@@ -202,11 +202,13 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
                                 "the dropped tail")
         while True:
             work = term_count(g, 0) * pmax ** 3
-            if grow and work > CUSP_PMF_WORK_MAX:
+            if work > CUSP_PMF_WORK_MAX:
                 raise TailMassError(
-                    f"cusp_pmf({g}, {mpmath.nstr(mu, 8)}) needs pmax >= "
-                    f"{pmax}, {work:.3g} units of work, over the bound "
-                    f"{CUSP_PMF_WORK_MAX:.0e}; take mu further from mu_c")
+                    f"cusp_pmf({g}, {mpmath.nstr(mu, 8)}) at pmax {pmax} "
+                    f"takes {work:.3g} units of work, over the bound "
+                    f"{CUSP_PMF_WORK_MAX:.0e}; "
+                    + ("take mu further from mu_c" if grow
+                       else "use a smaller pmax"))
             weights = [v.eval(prec) * mu ** p / mpmath.factorial(p) for p, v
                        in enumerate(volume_extract(g, 0, pmax, cache=cache))]
             total = mpmath.fsum(weights)

@@ -7,14 +7,18 @@ integration formula (the integrand is polynomial, so every window
 integral is an exact antiderivative evaluation), a convergence-table
 driver for the headline limit, and seeded Monte Carlo samplers for
 comparison runs.  A count reads its cut cell through
-``boltzmann.cell_groups``, the memo ``t_value`` reads too.
+``boltzmann.cell_groups``, the memo ``t_value`` reads too.  Every
+seeded sample reads its uniforms from the SHAKE-128 stream of its
+integer seed (``_rng``), which costs one hash call to set up, so a
+seed per sample is cheap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import random
+import operator
+import struct
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -30,18 +34,69 @@ from tightwp.ring import DEFAULT_PREC
 from tightwp.tightpoly import admissible
 
 
-def _rng(seed: int) -> random.Random:
-    """Deterministic generator for a seed.
+class _Stream:
+    """The uniforms of one seed's stream, read in order.
 
-    The seed is hashed first: raw sequential integers fed to the
-    Mersenne-Twister init leave visible correlations across the first
-    draws of neighbouring streams, which biases one-draw-per-seed
-    Monte Carlo (batches of ~10^4 consecutive seeds drift by several
-    sigma).  Hashing decorrelates the streams and keeps the contract
-    that one seed always yields one fixed sample.
+    The stream of seed s is the SHAKE-128 output of the ASCII decimal
+    digits of s (b"%d" % s), read as consecutive little-endian 64-bit
+    words; uniform k is (word_k >> 11) 2^-53, a float in [0, 1).  A
+    longer SHAKE output extends a shorter one, so the stream does not
+    depend on how it is read: the first 8 words come with the object,
+    and a read past the held words asks for at least twice as many.
     """
-    digest = hashlib.sha256(str(int(seed)).encode()).digest()
-    return random.Random(int.from_bytes(digest[:16], "big"))
+
+    __slots__ = ("_key", "_u", "_k")
+
+    def __init__(self, key: bytes):
+        self._key = key
+        self._u = _uniforms(key, 0, 8)
+        self._k = 0
+
+    def random(self) -> float:
+        """The next uniform."""
+        k = self._k
+        if k == len(self._u):
+            self._extend(k + 1)
+        self._k = k + 1
+        return self._u[k]
+
+    def randoms(self, n: int) -> list:
+        """The next n uniforms, as n calls of ``random`` would give them."""
+        k = self._k
+        if k + n > len(self._u):
+            self._extend(k + n)
+        self._k = k + n
+        return self._u[k:k + n]
+
+    def _extend(self, need: int):
+        have = len(self._u)
+        self._u += _uniforms(self._key, have, max(need, 2 * have))
+
+
+def _uniforms(key: bytes, start: int, stop: int) -> list:
+    """Uniforms start..stop-1 of the stream keyed by ``key``."""
+    data = hashlib.shake_128(key).digest(8 * stop)
+    return [(w >> 11) * 2.0 ** -53 for w in
+            struct.unpack_from(f"<{stop - start}Q", data, 8 * start)]
+
+
+def _rng(seed) -> _Stream:
+    """The uniform stream of an integer seed (see ``_Stream``).
+
+    The stream is a hash of the seed because one-draw-per-seed Monte
+    Carlo reads the first uniforms of consecutive seeds, and those must
+    not be correlated: a generator seeded with the raw integers can
+    correlate them (a Mersenne Twister seeded so drifted by several
+    sigma over batches of ~10^4 consecutive seeds).  One seed always
+    yields one fixed sample.  A seed that is not an integer (a float, a
+    string) is refused, never rounded or parsed.
+    """
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"a seed must be an integer, got {seed!r}") \
+            from None
+    return _Stream(b"%d" % seed)
 
 
 # The largest window end ``intensity`` sums to.  The sum takes about
@@ -314,7 +369,7 @@ def mp_convergence_table(g_range: Sequence[int], beta: float,
 # -- seeded samplers ----------------------------------------------------------
 
 
-def _poisson_draw(rng: random.Random, lam: float) -> int:
+def _poisson_draw(rng: _Stream, lam: float) -> int:
     """Inverse-CDF Poisson draw; refuses a lam whose exp(-lam) is not a
     positive float, since the CDF would then never pass u."""
     p = math.exp(-lam) if math.isfinite(lam) else 0.0
@@ -372,7 +427,8 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     evaluations of the float intensity.  On the first bracket, where
     t(u) ~ 2 sqrt(u) has an infinite slope at 0, it starts at
     2 sqrt(u), right of the root because lambda_{0,t} >= t^2/4.
-    Deterministic for a fixed seed.
+    The seed's stream gives the count's uniform first and then the N
+    point uniforms in one read.  Deterministic for a fixed seed.
     """
     if not t_max > 0:
         raise DomainError("t_max must be positive")
@@ -381,8 +437,8 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     lam = _intensity_f(t_max)
     n = _poisson_draw(rng, lam)
     pts = []
-    for _ in range(n):
-        u = rng.random() * lam
+    for u in rng.randoms(n):
+        u *= lam
         j = bisect_right(_KNOT_LAM, u) - 1
         lo = j * _KNOT_STEP
         hi = min(lo + _KNOT_STEP, t_max)

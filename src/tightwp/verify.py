@@ -499,7 +499,12 @@ def criterion_separating_suppression(cache=None) -> CriterionResult:
 def criterion_monte_carlo(cache=None, samples: int = 100_000,
                           seed: int = 0) -> CriterionResult:
     """Sampler statistics against exact targets, over the seeds
-    seed, ..., seed + samples - 1."""
+    seed, ..., seed + samples - 1.
+
+    The Poisson checks and the cusp check read the same seeds, so their
+    fluctuations move together: a seed's Poisson count and its cusp draw
+    both invert the seed's first uniform, and a change to the seeded
+    stream re-rolls all four checks at once."""
     checks = []
     t_max = 3.0
     windows = [(0.5, 1.0), (1.5, 2.5)]

@@ -67,7 +67,7 @@ class TestTVolume:
             exact = moments.volume_extract(g, n, 0)[0].eval(PREC)
             assert abs(v / exact - 1) < mpmath.mpf(2) ** -90
 
-    def test_warns_exactly_when_ell_groups_flag_cancellation(
+    def test_warns_exactly_when_cell_groups_flag_cancellation(
             self, monkeypatch):
         # at mu_c/2 the terms of P_{2,0} have mixed signs (m_2 > 0), and
         # their absolute sum is about 2.5 times the value
@@ -123,7 +123,7 @@ def _rel(got, want):
         return abs(got / want - 1)
 
 
-class TestEllGroups:
+class TestCellGroups:
     """t_volume reads P_{g,n} through the per-(g, n, mu, prec) ell-groups;
     they must match the per-term loop and never go stale."""
 
@@ -360,6 +360,19 @@ class TestCuspPmf:
         with pytest.raises(TailMassError, match="work"):
             boltzmann.cusp_pmf(3, mu, prec=PREC)
         assert time.perf_counter() - start < 1.0
+
+    def test_explicit_pmax_over_the_bound_is_refused_before_extraction(
+            self, monkeypatch):
+        # (2, 700) is 1.03e9 units, five times the bound; extracting it
+        # took 141 s
+        def refuse(*args, **kwargs):
+            raise AssertionError("volumes extracted past the work bound")
+
+        monkeypatch.setattr(boltzmann, "volume_extract", refuse)
+        assert tightpoly.term_count(2, 0) * 700 ** 3 > \
+            boltzmann.CUSP_PMF_WORK_MAX
+        with pytest.raises(TailMassError, match="smaller pmax"):
+            boltzmann.cusp_pmf(2, 0.01, pmax=700, prec=PREC)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,14 @@ class TestCusps:
     def test_needs_mu_or_target(self, capsys):
         code, _, err = run(capsys, "cusps", "-g", "2")
         assert code == 2
+
+    def test_pmax_over_the_work_bound_exits_two(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "cusps", "-g", "2", "--mu", "0.01",
+                             "--pmax", "700")
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert "work" in err and "pmax" in err
 
 
 class TestVolumes:
@@ -245,6 +254,34 @@ class TestSample:
                          "poisson", "--t-max", "2.5", "--count", "4",
                          "--seed", "11")
         assert out1 == out2
+
+    def test_golden_poisson_samples(self, capsys):
+        # pinned so that a change to the seeded stream cannot re-roll
+        # samples silently; the second sample reads past the first 8
+        # uniforms of its seed
+        code, out, _ = run(capsys, "--format", "json", "sample", "--kind",
+                           "poisson", "--t-max", "3", "--seed", "7",
+                           "--count", "2")
+        assert code == 0
+        obj = json.loads(out)
+        samples = obj.pop("samples")
+        assert obj == {"kind": "poisson", "seed": 7, "t_max": 3.0}
+        want = [[2.2316063403678204, 2.3436329011305599],
+                [1.6684437839569224, 1.7111163297967962, 1.8071612105329167,
+                 1.9273677077288383, 1.9296421751380444, 2.1690580695195152,
+                 2.4760638080666619, 2.7016079481947441]]
+        assert [len(s) for s in samples] == [len(s) for s in want]
+        for got, ref in zip(samples, want):
+            assert [float(t) for t in got] == pytest.approx(ref, rel=1e-13)
+
+    def test_golden_cusp_draws(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "sample", "--kind",
+                           "cusps", "-g", "2", "--mu", "0.01", "--seed", "3",
+                           "--count", "8")
+        assert code == 0
+        assert json.loads(out) == {"draws": [3, 2, 2, 0, 0, 5, 4, 5],
+                                   "genus": 2, "kind": "cusps",
+                                   "mu": "0.01", "seed": 3}
 
     def test_seed_after_subcommand(self, capsys):
         code, out, _ = run(capsys, "sample", "--kind", "poisson",

@@ -1,6 +1,7 @@
 """Length-spectrum layer: intensity, normalization, expected counts and
 the seeded samplers."""
 
+import hashlib
 import itertools
 import math
 import os
@@ -275,6 +276,60 @@ class TestConvergenceTable:
         assert ws.lambda_product(PREC) == 0
         with pytest.raises(DomainError, match="zero-width"):
             spectrum.mp_convergence_table([4], 3.0, ws, PREC)
+
+
+class TestStream:
+    @pytest.mark.parametrize("seed", [0, -1, 2 ** 70])
+    def test_uniforms_follow_the_shake128_definition(self, seed):
+        # uniform k is the k-th little-endian 64-bit word of the SHAKE-128
+        # output of the seed's decimal digits, top 53 bits over 2^53; 21
+        # words run past the first 64-byte read
+        data = hashlib.shake_128(str(seed).encode("ascii")).digest(21 * 8)
+        want = [(int.from_bytes(data[8 * k:8 * k + 8], "little") >> 11)
+                / 2 ** 53 for k in range(21)]
+        rng = spectrum._rng(seed)
+        assert [rng.random() for _ in range(21)] == want
+
+    def test_batched_and_sequential_reads_agree(self):
+        for seed in range(200):
+            seq = spectrum._rng(seed)
+            want = [seq.random() for _ in range(70)]
+            rng = spectrum._rng(seed)
+            got = [rng.random()] + rng.randoms(seed % 40)
+            got += rng.randoms(0) + rng.randoms(3)
+            got += [rng.random() for _ in range(70 - len(got))]
+            assert got == want, seed
+
+    def test_poisson_sample_reads_its_points_in_one_batch(self):
+        # the sampler's batched read gives the points that sequential
+        # reads give, at a mean (about 500) that runs far past one read
+        t_max = 8.9
+        lam = spectrum._intensity_f(t_max)
+        assert 400 < lam < 600
+        for seed in range(3):
+            rng = spectrum._rng(seed)
+            n = spectrum._poisson_draw(rng, lam)
+            us = sorted(rng.random() * lam for _ in range(n))
+            got = spectrum.sample_poisson_process(t_max, seed).points
+            assert [spectrum._intensity_f(t) for t in got] == \
+                pytest.approx(us, rel=1e-12, abs=1e-12)
+
+    def test_fresh_seeds_give_uncorrelated_uniforms(self):
+        # seeds C11 never reads; uniform 8 is the first past the first read
+        n = 20_000
+        seeds = range(10 ** 6, 10 ** 6 + n)
+        for k in (0, 8):
+            us = [spectrum._rng(s).randoms(k + 1)[k] for s in seeds]
+            assert abs(statistics.mean(us) - 0.5) < 4 * math.sqrt(1 / 12 / n)
+            r = statistics.correlation(us[:-1], us[1:])
+            assert abs(r) < 4 / math.sqrt(n), (k, r)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1", None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(DomainError, match="integer"):
+            spectrum.sample_poisson_process(3.0, seed)
+        with pytest.raises(DomainError, match="integer"):
+            spectrum.sample_cusp_count(2, 0.01, seed, PREC)
 
 
 class TestSamplers:
