@@ -26,10 +26,10 @@ import mpmath
 from mpmath import mp
 
 from tightwp.errors import (CancellationWarning, DomainError, TailMassError)
-from tightwp.moments import (_newton_root, cached_frame, mu_critical,
-                             volume_extract)
+from tightwp.moments import (SERIES_WORK_MAX, _newton_root, cached_frame,
+                             mu_critical, series_work, volume_extract)
 from tightwp.ring import DEFAULT_PREC, eval_ell_groups, mpf_list
-from tightwp.tightpoly import admissible, compositions, p_gn, term_count
+from tightwp.tightpoly import admissible, compositions, p_gn
 
 
 @dataclass(frozen=True)
@@ -165,14 +165,6 @@ class CuspPmf:
 # its truncation drop.
 TAIL_TOL = 1e-12
 
-# The most work cusp_pmf may ask of volume_extract, for a given or a grown
-# pmax, in units of term_count(g, 0) pmax^3.  Cold, a unit took 2.7e-8 to
-# 8.2e-8 s up to pmax 400 and 1.4e-7 s at (2, 700) (Python 3.11, one core
-# of a 2-vCPU host); (2, 400), 1.9e8 units, took 15.7 s.  So 2e8 caps it
-# at about 15 s (pmax 405 at g = 2, 262 at g = 3); pmax grows like
-# 1/(mu_c - mu), and the pmfs past the cap sit near mu_c.
-CUSP_PMF_WORK_MAX = 2 * 10 ** 8
-
 
 def cusp_pmf(g: int, mu, pmax: int | None = None,
              prec: int = DEFAULT_PREC, cache=None) -> CuspPmf:
@@ -185,8 +177,9 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
     Without, pmax starts at ceil(4 E[N]) + 40 and grows until the tail
     certifies, each time by the k with tail rho^k <= TAIL_TOL total (the
     ratios fall as p grows, so one step usually does).  Before an
-    extraction, a pmax whose work passes CUSP_PMF_WORK_MAX is refused
-    (TailMassError), a given one as well as a grown one.
+    extraction, a pmax whose moments.series_work passes SERIES_WORK_MAX
+    is refused (TailMassError), a given one as well as a grown one; pmax
+    grows like 1/(mu_c - mu), so the pmfs past the bound sit near mu_c.
     """
     if g < 2:
         raise DomainError("cusp statistics need g >= 2")
@@ -201,12 +194,12 @@ def cusp_pmf(g: int, mu, pmax: int | None = None,
             raise TailMassError("pmax must be at least 4 to certify "
                                 "the dropped tail")
         while True:
-            work = term_count(g, 0) * pmax ** 3
-            if work > CUSP_PMF_WORK_MAX:
+            work = series_work(g, 0, pmax)
+            if work > SERIES_WORK_MAX:
                 raise TailMassError(
                     f"cusp_pmf({g}, {mpmath.nstr(mu, 8)}) at pmax {pmax} "
                     f"takes {work:.3g} units of work, over the bound "
-                    f"{CUSP_PMF_WORK_MAX:.0e}; "
+                    f"{SERIES_WORK_MAX:.0e}; "
                     + ("take mu further from mu_c" if grow
                        else "use a smaller pmax"))
             weights = [v.eval(prec) * mu ** p / mpmath.factorial(p) for p, v

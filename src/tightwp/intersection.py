@@ -7,10 +7,14 @@ it stores the scaled correlator
     X(g; d) = <tau_d>_g * prod (2 d_i + 1)!! * 2^c(g),
     c(0) = 0,  c(g) = 4g - 1 for g >= 1,
 
-memoized on a canonical key, and the public functions divide by the
-scale once per key returned.  In the normalized form of Dijkgraaf,
-Verlinde and Verlinde (1991), N = <tau_d> prod (2 d_i + 1)!!, the
-reductions read
+memoized on a canonical key.  ``scaled_value`` reads X itself (solving
+on a miss); the closed form of ``tightpoly`` builds each cell
+coefficient from it with one division by the whole scale, and so
+leaves no entry in _values.  ``intersection_number`` divides X by the
+scale once per key it returns, and only it fills _values.
+
+In the normalized form of Dijkgraaf, Verlinde and Verlinde (1991),
+N = <tau_d> prod (2 d_i + 1)!!, the reductions read
 
     string    N(0, S)   = sum_j (2 d_j + 1) N(d_j - 1, S - j)
     dilaton   N(1, S)   = 3 (2g - 2 + n) N(S)
@@ -62,12 +66,12 @@ from mpmath import mp
 
 from tightwp import cache as twpcache
 from tightwp.errors import CacheError, DomainError, UnstableKeyError
-from tightwp.ring import (DEFAULT_PREC, Rational, _parse_coeff, rat_to_str,
-                          to_mpf)
+from tightwp.ring import DEFAULT_PREC, Rational, _parse_coeff, to_mpf
 
 _R0 = Rational(0)
 
 _DFACT = [1, 1]  # index k holds k!!; the convention (-1)!! = 1 is handled below
+_ODD = [1]  # index v holds (2 v + 1)!!
 
 
 def dfact(n: int) -> int:
@@ -94,7 +98,8 @@ def _key(g: int, indices: Iterable[int]) -> tuple:
 
 
 _memo: dict = {}    # (g, d) -> X(g; d), for every key the recursion reached
-_values: dict = {}  # (g, d) -> Rational, for every key returned so far
+_values: dict = {}  # (g, d) -> Rational, for every key intersection_number
+                    # returned so far
 
 _BASE = {(0, (0, 0, 0)): 1, (1, (1,)): 1}
 
@@ -111,11 +116,10 @@ def clear_cache():
 def _scale(g: int, d: tuple) -> int:
     """2^c(g) prod (2 d_i + 1)!!, the factor X(g; d) carries; d descends,
     so filling the table to (2 d_0 + 1)!! covers every entry."""
-    out = 1 << (4 * g - 1) if g else 1
-    if d:
-        dfact(2 * d[0] + 1)
-        out *= math.prod([_DFACT[2 * v + 1] for v in d])
-    return out
+    while d and len(_ODD) <= d[0]:
+        _ODD.append(_ODD[-1] * (2 * len(_ODD) + 1))
+    return math.prod(map(_ODD.__getitem__, d),
+                     start=1 << (4 * g - 1) if g else 1)
 
 
 def _runs(t: tuple):
@@ -270,6 +274,13 @@ def _solve(key: tuple) -> int:
     return memo[key]
 
 
+def scaled_value(key: tuple) -> int:
+    """X(g; d) of a canonical (``_key`` form), dimension-correct key,
+    solved into _memo on a miss."""
+    x = _memo.get(key)
+    return _solve(key) if x is None else x
+
+
 def intersection_number(g: int, indices: Iterable[int]) -> Rational:
     """Exact <tau_{d_1} ... tau_{d_n}>_g.
 
@@ -285,19 +296,18 @@ def intersection_number(g: int, indices: Iterable[int]) -> Rational:
     g, d = k = _key(*k)
     if sum(d) != 3 * g - 3 + len(d):
         return _R0
-    x = _memo.get(k)
-    if x is None:
-        x = _solve(k)
-    val = _values[k] = Rational(x, _scale(*k))
+    val = _values[k] = Rational(scaled_value(k), _scale(*k))
     return val
 
 
 def save_tau(path) -> int:
-    """Write the memo as a tau segment, each value as held in _values
-    where it is there; returns the row count."""
-    rows = [[g, list(d), rat_to_str(_values.get((g, d))
-                                    or Rational(x, _scale(g, d)))]
-            for (g, d), x in sorted(_memo.items())]
+    """Write the memo as a tau segment, each value X / scale in lowest
+    terms from one gcd; returns the row count."""
+    rows = []
+    for g, d in sorted(_memo):
+        x, scale = _memo[g, d], _scale(g, d)
+        c = math.gcd(x, scale)
+        rows.append([g, list(d), f"{x // c}/{scale // c}"])
     twpcache.write_twp(path, "tau", [len(rows)], rows)
     return len(rows)
 

@@ -396,6 +396,21 @@ def t_volume_series(g: int, n: int, order: int, cache=None) -> MuSeries:
     return total * m0inv ** (2 * g - 2 + n)
 
 
+# The most work volume_extract may start, in units of the terms of the
+# ell = 0 slice of P_{g,n} times pmax^3 (series_work).  Cold, a unit of
+# (g, 0) took 2.7e-8 to 8.2e-8 s up to pmax 400 and 1.4e-7 s at (2, 700)
+# (Python 3.11, one core of a 2-vCPU host); (2, 400), 1.9e8 units, took
+# 15.7 s.  So 2e8 caps an extraction at about 15 s (pmax 405 at g = 2,
+# 262 at g = 3).
+SERIES_WORK_MAX = 2 * 10 ** 8
+
+
+def series_work(g: int, n: int, pmax: int) -> int:
+    """The work of extracting V_{g,n+p}(0) for p <= pmax, in the units of
+    SERIES_WORK_MAX."""
+    return tightpoly.graded_count(3 * g - 3 + n, 0) * pmax ** 3
+
+
 def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
     """Exact V_{g,n+p}(0) for p = 0..pmax, each a PiPoly q pi^(2j).
 
@@ -405,10 +420,16 @@ def volume_extract(g: int, n: int, pmax: int, cache=None) -> list:
     depend on mu, so the cell keeps one list (``PolyCell.volumes``).  A
     pmax at or below the held order gets a prefix, which is exact because
     a series of lower order is a truncation; a higher pmax rebuilds and
-    replaces the list.
+    replaces the list.  A pmax whose series_work passes SERIES_WORK_MAX
+    is refused (DomainError) before the cell or any series is built.
     """
     if pmax < 0:
         raise DomainError("pmax must be >= 0")
+    work = series_work(g, n, pmax)
+    if work > SERIES_WORK_MAX:
+        raise DomainError(f"volume_extract({g}, {n}, {pmax}) takes "
+                          f"{work:.3g} units of work, over the bound "
+                          f"{SERIES_WORK_MAX:.0e}; use a smaller pmax")
     held = tightpoly.p_gn(g, n, cache=cache).volumes
     if len(held) <= pmax:
         series = t_volume_series(g, n, pmax, cache=cache)

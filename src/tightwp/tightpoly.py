@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -30,9 +31,9 @@ from mpmath import mp
 
 from tightwp import cache as twpcache
 from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
-from tightwp.intersection import (intersection_number, load_tau, save_tau,
-                                   tau2_correlator)
-from tightwp.ring import TightPoly, mpf_list, to_mpf
+from tightwp.intersection import (_scale, dfact, load_tau, save_tau,
+                                   scaled_value, tau2_correlator)
+from tightwp.ring import Rational, TightPoly, mpf_list, to_mpf
 
 DEFAULT_BUDGET = 5_000_000
 
@@ -105,10 +106,17 @@ def clear_memory_cache():
 
 @functools.cache
 def term_count(g: int, n: int) -> int:
-    """Number of monomials of graded degree D = 3g-3+n in ell_1..ell_n,
-    m_1..m_D, which is sum_j C(j+n-1, n-1) p(D-j): the x^D coefficient
-    of prod_i 1/(1-x) prod_k 1/(1-x^k), one factor per variable."""
-    d = 3 * g - 3 + n
+    """Number of monomials of P_{g,n}: graded_count(3g-3+n, n)."""
+    return graded_count(3 * g - 3 + n, n)
+
+
+def graded_count(d: int, n: int) -> int:
+    """Number of monomials of graded degree d in ell_1..ell_n, m_1..m_d,
+    which is sum_j C(j+n-1, n-1) p(d-j): the x^d coefficient of
+    prod_i 1/(1-x) prod_k 1/(1-x^k), one factor per variable; 0 for
+    d < 0.  With n = 0 it counts the ell = 0 slice of a cell."""
+    if d < 0:
+        return 0
     out = [1] + [0] * d
     for weight in [1] * n + list(range(1, d + 1)):
         for k in range(weight, d + 1):
@@ -131,7 +139,12 @@ def compositions(total: int, mins: Sequence[int]):
 def _closed_form(g: int, n: int, count: int) -> TightPoly:
     """P_{g,n} as the correlator sum of the module docstring, one
     correlator per (m-key, sorted ell-block), terms in canonical order:
-    by m-key, then by ell-key."""
+    by m-key, then by ell-key.
+
+    Each coefficient is one Rational(X, den) of the memo's int
+    X = <tau>_g 2^c(g) prod (2 t + 1)!! over all its tau indices t, so
+    den is that scale times the closed form's denominator: an int per
+    ell-block times an int per m-key, each built once per cell."""
     d = 3 * g - 3 + n
     # ells[j]: the ell-keys of weight j in lex order, one boundary at a time
     ells = [[()]] + [[] for _ in range(d)]
@@ -139,29 +152,36 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
         ells = [[(a,) + c for a in range(j + 1) for c in ells[j - a]]
                 for j in range(d + 1)]
     # blocks[j]: the distinct sorted ell-blocks of weight j, each with its
-    # 2^j prod d_i!; which[j]: the block of each ell-key
+    # 2^j prod d_i! (2 d_i + 1)!!; which[j]: the block of each ell-key
+    per_tau = [math.factorial(t) * dfact(2 * t + 1) for t in range(d + 1)]
     blocks, which = [], []
     for keys in ells:
         at = {}
         which.append([at.setdefault(tuple(sorted(c, reverse=True)), len(at))
                       for c in keys])
-        blocks.append([(taus, math.prod(map(math.factorial, taus))
+        blocks.append([(taus, math.prod(map(per_tau.__getitem__, taus))
                         << sum(taus)) for taus in at])
     # rows[r]: the m-keys (a_k, ..., a_d) of weight r, or of weight at most
     # r when n > 0 (n = 0 leaves only weight d), in lex order, each with
-    # its weight, its tau indices k+1 and +-prod a_k!; built from m_d down
-    # to m_1, so rows[-1] lists the m-keys of the cell in term order
+    # its weight, its tau indices k+1 and 2^c(g) prod (-1)^a_k a_k!
+    # (2k+3)!!^a_k; built from m_d down to m_1, so rows[-1] lists the
+    # m-keys of the cell in term order
     signed_fact = [(-1) ** a * math.factorial(a) for a in range(d + 1)]
-    rows = [[((), 0, (), 1)] if n or r == 0 else [] for r in range(d + 1)]
+    rows = [[((), 0, (), _scale(g, ()))] if n or r == 0 else []
+            for r in range(d + 1)]
     for k in range(d, 0, -1):
+        fk = dfact(2 * k + 3)
+        per_a = [f * fk ** a for a, f in enumerate(signed_fact[:d // k + 1])]
         rows = [[((a,) + key, w + k * a, taus + (k + 1,) * a,
-                  den * signed_fact[a])
+                  den * per_a[a])
                  for a in range(r // k + 1)
                  for key, w, taus, den in rows[r - k * a]]
                 for r in (range(d + 1) if k > 1 else (d,))]
     terms = {}
     for m_key, weight, m_taus, m_den in rows[-1]:
-        qs = [intersection_number(g, taus + m_taus) / (m_den * den)
+        qs = [Rational(scaled_value((g, tuple(sorted(taus + m_taus,
+                                                     reverse=True)))),
+                       m_den * den)
               for taus, den in blocks[d - weight]]
         terms.update(zip([c + m_key for c in ells[d - weight]],
                          map(qs.__getitem__, which[d - weight])))
@@ -205,32 +225,41 @@ def p_gn(g: int, n: int, cache: "PolyCache | None" = None,
 def validate_cell(cell: PolyCell) -> bool:
     """True iff the cell is boundary-symmetric and graded-homogeneous.
 
-    Symmetry is checked on adjacent transpositions (which generate the
-    full symmetric group); homogeneity compares the graded degree of
-    every monomial with 3g-3+n.
+    Symmetry is checked under the two generators of the symmetric group
+    on the boundaries, the swap of boundaries 1 and 2 and the cycle of
+    all n (the swap alone when n = 2, nothing when n <= 1): each term's
+    image must be a term with the same coefficient.  A permutation that
+    maps the keys into themselves maps them onto themselves, so
+    invariance under both is invariance under every permutation.
+    Homogeneity compares the graded degree of every monomial with
+    3g-3+n.
     """
     return not validate_cell_report(cell)
 
 
 def validate_cell_report(cell: PolyCell) -> list:
-    """Empty list if valid, else a list of human-readable failures."""
+    """Empty list if valid, else a list of human-readable failures: the
+    generator a symmetry check failed under, and the first monomial of
+    the wrong graded degree."""
     problems = []
     poly = cell.poly
     terms = poly.terms
-    for i in range(1, poly.n_ell):
-        # a swap is an involution, so compare each term with its image
-        for key, q in terms.items():
-            a, b = key[i - 1], key[i]
-            if a == b:
-                continue
-            r = terms.get(key[:i - 1] + (b, a) + key[i + 1:])
-            if r is not q and r != q:
-                problems.append(f"not symmetric under swapping boundaries "
-                                f"{i} and {i + 1}")
-                break
+    n, rest = poly.n_ell, range(poly.n_ell, poly.n_ell + poly.n_m)
+    generators = []
+    if n > 1:
+        generators.append(("swapping boundaries 1 and 2",
+                           (1, 0, *range(2, n))))
+    if n > 2:
+        generators.append(("cycling the boundaries", (*range(1, n), 0)))
+    coeffs = list(terms.values())
+    for name, order in generators:
+        image = operator.itemgetter(*order, *rest)
+        if list(map(terms.get, map(image, terms))) != coeffs:
+            problems.append(f"not symmetric under {name}")
     d = cell.d
+    weights = (1,) * n + tuple(range(1, poly.n_m + 1))
     for key in terms:
-        grade = poly.grade(key)
+        grade = sum(map(operator.mul, key, weights))
         if grade != d:
             problems.append(f"not homogeneous: monomial {key} has graded "
                             f"degree {grade} != {d}")

@@ -369,8 +369,8 @@ class TestCuspPmf:
             raise AssertionError("volumes extracted past the work bound")
 
         monkeypatch.setattr(boltzmann, "volume_extract", refuse)
-        assert tightpoly.term_count(2, 0) * 700 ** 3 > \
-            boltzmann.CUSP_PMF_WORK_MAX
+        assert moments.series_work(2, 0, 700) == \
+            tightpoly.term_count(2, 0) * 700 ** 3 > moments.SERIES_WORK_MAX
         with pytest.raises(TailMassError, match="smaller pmax"):
             boltzmann.cusp_pmf(2, 0.01, pmax=700, prec=PREC)
 

@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -163,6 +166,21 @@ class TestVolumes:
         obj = json.loads(out)
         assert obj["volumes"][0]["pi2_poly"] == [[0, "1/1"]]
         assert obj["volumes"][1]["pi2_poly"] == [[1, "2/1"]]
+
+
+    def test_pmax_over_the_work_bound_exits_two_at_once(self):
+        # (2, 0, 700) is 1.03e9 units, five times the bound; the extraction
+        # ran for minutes.  The CLI runs in a child process so that a hang
+        # fails the test.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys; from tightwp import cli; sys.exit(cli.main("
+                "['volumes', '-g', '2', '-n', '0', '--pmax', '700']))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=30)
+        assert done.returncode == 2 and done.stdout == ""
+        assert "over the bound 2e+08" in done.stderr
+        assert "smaller pmax" in done.stderr
 
 
 class TestSpectrum:

@@ -554,6 +554,27 @@ class TestVolumeExtraction:
             tightpoly._cells[key] = old
         assert moments.volume_extract(1, 1, 3) == before
 
+    def test_work_over_the_bound_is_refused_before_any_build(
+            self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built past the work bound")
+
+        # the ell = 0 slice of P_{3,2} has p(8) = 22 terms
+        assert moments.series_work(3, 2, 10) == 22 * 10 ** 3
+        assert moments.series_work(2, 0, 700) == \
+            tightpoly.term_count(2, 0) * 700 ** 3
+        # the first pmax over the bound, 209
+        pmax = 1
+        while moments.series_work(3, 2, pmax) <= moments.SERIES_WORK_MAX:
+            pmax += 1
+        assert pmax == 209
+        monkeypatch.setattr(tightpoly, "p_gn", refuse)
+        monkeypatch.setattr(moments, "t_volume_series", refuse)
+        with pytest.raises(DomainError, match="over the bound"):
+            moments.volume_extract(3, 2, pmax)
+        with pytest.raises(DomainError, match="over the bound"):
+            moments.volume_extract(2, 0, 700)
+
     def test_insufficient_order_rejected(self):
         with pytest.raises(DomainError):
             moments.volume_extract(0, 3, -1)

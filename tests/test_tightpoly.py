@@ -1,6 +1,8 @@
 """Closed-form cells, budget refusals, the recursion check, validators,
 concentration diagnostics and the persistent store."""
 
+import math
+
 import mpmath
 import pytest
 from mpmath import mp
@@ -10,7 +12,7 @@ from tightwp import boltzmann, intersection, moments, tightpoly, verify
 from tightwp.errors import BudgetError, CacheError, DomainError, ShapeError
 from tightwp.intersection import intersection_number
 from tightwp.ring import (MuSeries, Rational, TightPoly, eval_ell_groups,
-                          to_mpf)
+                          rat_to_str, to_mpf)
 
 PREC = 113
 
@@ -185,6 +187,172 @@ class TestPgn:
         bad = tightpoly.PolyCell(0, 5, poly)  # shape only matters here
         assert any("symmetric" in msg
                    for msg in tightpoly.validate_cell_report(bad))
+
+
+def _old_validate(cell):
+    """The adjacent-transposition check validate_cell replaced: a cell
+    is valid iff every swap of neighbouring boundaries maps each term to
+    a term with the same coefficient, and every monomial has graded
+    degree 3g - 3 + n."""
+    terms, n = cell.poly.terms, cell.poly.n_ell
+    for i in range(1, n):
+        for key, q in terms.items():
+            if terms.get(key[:i - 1] + (key[i], key[i - 1]) + key[i + 1:]) \
+                    != q:
+                return False
+    return all(cell.poly.grade(key) == cell.d for key in terms)
+
+
+def _corrupted(cell, change):
+    """A copy of cell whose term map change(terms) edits in place."""
+    terms = dict(cell.poly.terms)
+    change(terms)
+    return tightpoly.PolyCell(cell.genus, cell.boundaries,
+                              TightPoly._raw(cell.boundaries, cell.d, terms))
+
+
+class TestValidateGenerators:
+    """validate_cell checks symmetry under the swap of boundaries 1 and 2
+    and the cycle of all n, with the verdict of the adjacent-transposition
+    check."""
+
+    @pytest.mark.parametrize("g, n, ell", [(2, 3, (1, 1, 0)),
+                                           (1, 4, (1, 1, 0, 0))],
+                             ids=["three-boundaries", "four-boundaries"])
+    def test_asymmetry_under_the_swap_of_2_and_3_only(self, g, n, ell):
+        # changing one term whose ell-block starts with a repeated entry
+        # keeps the swap of boundaries 1 and 2, and breaks that of 2 and 3
+        cell = tightpoly.p_gn(g, n)
+        key = next(k for k in cell.poly.terms if k[:n] == ell)
+
+        def change(terms):
+            terms[key] += Rational(1, 7)
+
+        bad = _corrupted(cell, change)
+        assert not _old_validate(bad)
+        assert tightpoly.validate_cell_report(bad) == [
+            "not symmetric under cycling the boundaries"]
+
+    @pytest.mark.parametrize("g, n", [(2, 2), (2, 3), (2, 4)])
+    def test_one_deleted_orbit_member(self, g, n):
+        cell = tightpoly.p_gn(g, n)
+        key = next(k for k in cell.poly.terms if len(set(k[:n])) == n)
+
+        def change(terms):
+            del terms[key]
+
+        bad = _corrupted(cell, change)
+        assert not _old_validate(bad)
+        report = tightpoly.validate_cell_report(bad)
+        assert report and all("symmetric" in msg for msg in report)
+
+    def test_a_swap_of_boundaries_1_and_2_is_named(self):
+        cell = tightpoly.p_gn(2, 3)
+        key = next(k for k in cell.poly.terms if k[:3] == (2, 0, 0))
+
+        def change(terms):
+            terms[key] += 1
+
+        assert "not symmetric under swapping boundaries 1 and 2" in \
+            tightpoly.validate_cell_report(_corrupted(cell, change))
+
+    @pytest.mark.parametrize("g, n", [(2, 0), (3, 0), (4, 0), (5, 0),
+                                      (1, 1), (2, 1), (4, 1)])
+    def test_cells_without_a_generator_stay_valid(self, g, n):
+        cell = tightpoly.p_gn(g, n)
+        assert tightpoly.validate_cell_report(cell) == []
+        # with no generator, no change of a coefficient is asymmetric
+        key = next(iter(cell.poly.terms))
+
+        def change(terms):
+            terms[key] += 1
+
+        assert tightpoly.validate_cell(_corrupted(cell, change))
+
+    def test_same_verdict_as_adjacent_transpositions(self):
+        cells = [tightpoly.p_gn(g, n) for g in range(6) for n in range(6)
+                 if tightpoly.admissible(g, n)]
+        for cell in cells:
+            assert tightpoly.validate_cell(cell) is _old_validate(cell) \
+                is True, (cell.genus, cell.boundaries)
+        # every single-coefficient change of a small cell
+        for g, n in [(0, 5), (1, 3), (2, 3), (1, 4)]:
+            cell = tightpoly.p_gn(g, n)
+            for key in cell.poly.terms:
+                def change(terms, key=key):
+                    terms[key] += 1
+
+                bad = _corrupted(cell, change)
+                assert tightpoly.validate_cell(bad) is _old_validate(bad), \
+                    key
+
+
+def _old_closed_form(g, n):
+    """P_{g,n} by the Fraction route the closed form replaced: per
+    (m-key, sorted ell-block), intersection_number of the whole key over
+    2^|d| prod d_i! prod (-1)^a_k a_k!, terms by m-key, then ell-key."""
+    d = 3 * g - 3 + n
+    ells = [[()]] + [[] for _ in range(d)]
+    for _ in range(n):
+        ells = [[(a,) + c for a in range(j + 1) for c in ells[j - a]]
+                for j in range(d + 1)]
+    m_rows = [((), 0, (), 1)]
+    for k in range(d, 0, -1):
+        m_rows = [((a,) + key, w + k * a, taus + (k + 1,) * a,
+                   den * (-1) ** a * math.factorial(a))
+                  for key, w, taus, den in m_rows
+                  for a in range((d - w) // k + 1)]
+    terms = []
+    for m_key, weight, m_taus, m_den in sorted(m_rows):
+        if n == 0 and weight != d:
+            continue
+        for c in ells[d - weight]:
+            taus = tuple(sorted(c, reverse=True))
+            den = math.prod(map(math.factorial, taus)) << sum(taus)
+            terms.append((c + m_key, intersection_number(g, taus + m_taus)
+                          / (m_den * den)))
+    return terms
+
+
+class TestIntRoute:
+    """Cells read the memo's int X with one Rational per coefficient."""
+
+    @pytest.mark.parametrize("g, n", [(g, n) for g in range(4)
+                                      for n in range(5)
+                                      if tightpoly.admissible(g, n)]
+                             + [(g, 0) for g in range(4, 7)])
+    def test_coefficients_equal_the_fraction_route(self, g, n):
+        got = list(tightpoly.p_gn(g, n).poly.terms.items())
+        want = _old_closed_form(g, n)
+        assert got == want
+        assert [(q.numerator, q.denominator) for _, q in got] == \
+            [(q.numerator, q.denominator) for _, q in want]
+
+    def test_cold_build_fills_the_memo_and_not_values(self, monkeypatch):
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        tightpoly.p_gn(3, 2)
+        assert intersection._memo
+        assert intersection._values == {}
+
+    def test_tau_rows_are_the_correlators(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
+        monkeypatch.setattr(tightpoly, "_cells", {})
+        for g, n in [(4, 0), (3, 2), (2, 3)]:
+            tightpoly.p_gn(g, n)
+        path = tmp_path / "tau.twp"
+        assert intersection.save_tau(path) == len(intersection._memo)
+        saved = dict(intersection._memo)
+        _meta, rows = twpcache.read_twp(path, "tau")
+        assert [(g, tuple(d)) for g, d, _ in rows] == sorted(saved)
+        for g, d, s in rows:
+            assert s == rat_to_str(intersection_number(g, d))
+        monkeypatch.setattr(intersection, "_memo", {})
+        monkeypatch.setattr(intersection, "_values", {})
+        assert intersection.load_tau(path) == len(saved)
+        assert intersection._memo == saved
 
 
 class TestSubstM:
