@@ -9,8 +9,10 @@ driver for the headline limit, and seeded Monte Carlo samplers for
 comparison runs.  A count reads its cut cell through
 ``boltzmann.cell_groups``, the memo ``t_value`` reads too.  Every
 seeded sample reads its uniforms from the SHAKE-128 stream of its
-integer seed (``_rng``), which costs one hash call to set up, so a
-seed per sample is cheap.
+integer seed (``_rng``), which costs one hash call to set up and holds
+one SHAKE block, decoding a word only when it is read, so a seed per
+sample is cheap.  A Poisson point is one Newton step of the float
+intensity from a degree-7 Hermite table of the inverse t(sqrt(lambda)).
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ from tightwp.ring import DEFAULT_PREC
 from tightwp.tightpoly import admissible
 
 
+_WORD = struct.Struct("<Q")
+
+
 class _Stream:
     """The uniforms of one seed's stream, read in order.
 
@@ -41,43 +46,39 @@ class _Stream:
     digits of s (b"%d" % s), read as consecutive little-endian 64-bit
     words; uniform k is (word_k >> 11) 2^-53, a float in [0, 1).  A
     longer SHAKE output extends a shorter one, so the stream does not
-    depend on how it is read: the first 8 words come with the object,
-    and a read past the held words asks for at least twice as many.
+    depend on how it is read.  The object holds the output bytes, one
+    SHAKE-128 block (168 bytes, 21 words) to start with, and turns a
+    word into a float only when it is read; a read past the held bytes
+    asks for at least twice as many.
     """
 
-    __slots__ = ("_key", "_u", "_k")
+    __slots__ = ("_key", "_data", "_k")
 
     def __init__(self, key: bytes):
         self._key = key
-        self._u = _uniforms(key, 0, 8)
+        self._data = hashlib.shake_128(key).digest(168)
         self._k = 0
 
     def random(self) -> float:
         """The next uniform."""
         k = self._k
-        if k == len(self._u):
+        if 8 * k + 8 > len(self._data):
             self._extend(k + 1)
         self._k = k + 1
-        return self._u[k]
+        return (_WORD.unpack_from(self._data, 8 * k)[0] >> 11) * 2.0 ** -53
 
     def randoms(self, n: int) -> list:
         """The next n uniforms, as n calls of ``random`` would give them."""
         k = self._k
-        if k + n > len(self._u):
+        if 8 * (k + n) > len(self._data):
             self._extend(k + n)
         self._k = k + n
-        return self._u[k:k + n]
+        return [(w >> 11) * 2.0 ** -53
+                for w in struct.unpack_from(f"<{n}Q", self._data, 8 * k)]
 
     def _extend(self, need: int):
-        have = len(self._u)
-        self._u += _uniforms(self._key, have, max(need, 2 * have))
-
-
-def _uniforms(key: bytes, start: int, stop: int) -> list:
-    """Uniforms start..stop-1 of the stream keyed by ``key``."""
-    data = hashlib.shake_128(key).digest(8 * stop)
-    return [(w >> 11) * 2.0 ** -53 for w in
-            struct.unpack_from(f"<{stop - start}Q", data, 8 * start)]
+        size = max(8 * need, 2 * len(self._data))
+        self._data = hashlib.shake_128(self._key).digest(size)
 
 
 def _rng(seed) -> _Stream:
@@ -269,7 +270,9 @@ class PointSample:
     points: tuple
 
     def count_in(self, a: float, b: float) -> int:
-        return sum(1 for t in self.points if a <= t <= b)
+        """The number of points t with a <= t <= b, by bisection."""
+        return max(0, bisect_right(self.points, b)
+                   - bisect_left(self.points, a))
 
     def __len__(self):
         return len(self.points)
@@ -397,19 +400,58 @@ def _slope(t: float) -> float:
 _KNOT_STEP = 1 / 32
 
 
+def _inverse_jet(t: float, v: float) -> tuple:
+    """t and its first three derivatives over 1!, 2!, 3! for the inverse
+    t(v) of v = sqrt(lambda_{0,t}), at the knot (t, v).  With the slope
+    s = (cosh t - 1)/t, s' = (sinh t - s)/t and s'' = (cosh t - 2 s')/t,
+    t' = 2v/s, t'' = 2/s - 4 v^2 s'/s^3 and
+    t''' = -12 v s'/s^3 - 8 v^3 s''/s^4 + 24 v^3 s'^2/s^5.  The slope is
+    formed as 2 sinh(t/2)^2/t: cosh t - 1 cancels near t = 0, which at
+    t = 1/32 costs t' about 9e-14 and the next knots' starts ulps."""
+    if not t:
+        return 0.0, 2.0, 0.0, -1 / 6
+    s = 2 * math.sinh(t / 2) ** 2 / t
+    s1 = (math.sinh(t) - s) / t
+    s2 = (math.cosh(t) - 2 * s1) / t
+    d2 = 2 / s - 4 * v * v * s1 / s ** 3
+    d3 = (-12 * v * s1 / s ** 3 - 8 * v ** 3 * s2 / s ** 4
+          + 24 * v ** 3 * s1 * s1 / s ** 5)
+    return t, 2 * v / s, d2 / 2, d3 / 6
+
+
 def _knot_table() -> tuple:
-    """(_intensity_f(t), 1/slope(t)) at the knots t = j/32, j = 0, 1, ...,
-    up to the first knot whose exp(-lambda) underflows; _poisson_draw
-    refuses any t_max at or past that knot."""
-    lams, inv_slopes = [], []
+    """The knots t_j = j/32 up to the first whose exp(-lambda) underflows
+    (_poisson_draw refuses any t_max at or past it): their lambda values,
+    and per bracket [t_j, t_(j+1)] the tuple (v_j, 1/h, c_0..c_7), where
+    v_j = sqrt(lambda_j), h = v_(j+1) - v_j and sum c_k x^k is the
+    degree-7 two-point Hermite polynomial of t(v_j + h x) on 0 <= x <= 1:
+    it matches t and its first three derivatives at both knots."""
+    lams = []
     while not lams or math.exp(-lams[-1]) > 0.0:
-        t = len(lams) * _KNOT_STEP
-        lams.append(_intensity_f(t))
-        inv_slopes.append(1 / _slope(t) if t else math.inf)
-    return tuple(lams), tuple(inv_slopes)
+        lams.append(_intensity_f(len(lams) * _KNOT_STEP))
+    vs = [math.sqrt(lam) for lam in lams]
+    jets = [_inverse_jet(j * _KNOT_STEP, v) for j, v in enumerate(vs)]
+    polys = []
+    for v0, v1, (c0, d0, e0, f0), (t1, d1, e1, f1) in zip(
+            vs, vs[1:], jets, jets[1:]):
+        h = v1 - v0
+        c1, c2, c3 = h * d0, h * h * e0, h ** 3 * f0
+        # what the Taylor cubic at x = 0 leaves of the four values at
+        # x = 1, mapped onto c_4..c_7 by the inverse of the matrix
+        # [C(k, i)], i = 0..3, k = 4..7
+        r0 = t1 - (c0 + c1 + c2 + c3)
+        r1 = h * d1 - (c1 + 2 * c2 + 3 * c3)
+        r2 = h * h * e1 - (c2 + 3 * c3)
+        r3 = h ** 3 * f1 - c3
+        polys.append((v0, 1 / h, c0, c1, c2, c3,
+                      35 * r0 - 15 * r1 + 5 * r2 - r3,
+                      -84 * r0 + 39 * r1 - 14 * r2 + 3 * r3,
+                      70 * r0 - 34 * r1 + 13 * r2 - 3 * r3,
+                      -20 * r0 + 10 * r1 - 4 * r2 + r3))
+    return tuple(lams), tuple(polys)
 
 
-_KNOT_LAM, _KNOT_INV_SLOPE = _knot_table()
+_KNOT_LAM, _KNOT_POLY = _knot_table()
 
 
 def sample_poisson_process(t_max: float, seed: int) -> PointSample:
@@ -420,15 +462,14 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     point solves lambda_{0,t} = u for a uniform u in [0, lambda_{0,t_max})
     by Newton's method (moments._newton_root) on the bracket
     [t_j, min(t_(j+1), t_max)] between the knots t_j = j/32 whose
-    lambda values hold u, read by bisecting a table of lambda and
-    1/slope at the knots.  Newton starts at the cubic-Hermite interpolant
-    of the inverse function t(u) over that bracket, which is within about
-    1e-9 of the root past the first knots, so a point takes about two
-    evaluations of the float intensity.  On the first bracket, where
-    t(u) ~ 2 sqrt(u) has an infinite slope at 0, it starts at
-    2 sqrt(u), right of the root because lambda_{0,t} >= t^2/4.
-    The seed's stream gives the count's uniform first and then the N
-    point uniforms in one read.  Deterministic for a fixed seed.
+    lambda values hold u, found by bisecting the knots' lambda values.
+    Newton starts at the degree-7 Hermite polynomial of the inverse
+    t(v), v = sqrt(lambda), over that bracket; t(v) = 2v - v^3/6 + ... is
+    analytic at v = 0, so the first bracket needs no other start.  The
+    start lies within a few ulp of the root, so a point takes one
+    evaluation of the float intensity.  The seed's stream gives the
+    count's uniform first and then the N point uniforms in one read.
+    Deterministic for a fixed seed.
     """
     if not t_max > 0:
         raise DomainError("t_max must be positive")
@@ -439,27 +480,21 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     pts = []
     for u in rng.randoms(n):
         u *= lam
+        # bisect on u itself: a rounded sqrt(u) against the v_j could put
+        # a u just below lambda_j in bracket j, where f(t_j) > 0
         j = bisect_right(_KNOT_LAM, u) - 1
+        v0, inv_h, c0, c1, c2, c3, c4, c5, c6, c7 = _KNOT_POLY[j]
+        x = (math.sqrt(u) - v0) * inv_h
+        t = c0 + x * (c1 + x * (c2 + x * (c3 + x * (
+            c4 + x * (c5 + x * (c6 + x * c7))))))
         lo = j * _KNOT_STEP
         hi = min(lo + _KNOT_STEP, t_max)
-        if j:
-            # the cubic in x = (u - u0)/du through t = lo and lo + step
-            # with slopes dt/dx = du/slope at both ends
-            u0 = _KNOT_LAM[j]
-            du = _KNOT_LAM[j + 1] - u0
-            x = (u - u0) / du
-            d0 = du * _KNOT_INV_SLOPE[j]
-            d1 = du * _KNOT_INV_SLOPE[j + 1]
-            c2 = 3 * _KNOT_STEP - 2 * d0 - d1
-            c3 = d0 + d1 - 2 * _KNOT_STEP
-            x0 = min(max(lo + x * (d0 + x * (c2 + x * c3)), lo), hi)
-        else:
-            x0 = min(2 * math.sqrt(u), hi)
 
         def fdf(t, u=u):
             return _intensity_f(t) - u, _slope(t)
 
-        pts.append(_newton_root(fdf, lo, hi, x0, 2.0 ** -50))
+        pts.append(_newton_root(fdf, lo, hi, min(max(t, lo), hi),
+                                2.0 ** -50))
     return PointSample(points=tuple(sorted(pts)))
 
 

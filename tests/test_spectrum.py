@@ -283,12 +283,37 @@ class TestStream:
     def test_uniforms_follow_the_shake128_definition(self, seed):
         # uniform k is the k-th little-endian 64-bit word of the SHAKE-128
         # output of the seed's decimal digits, top 53 bits over 2^53; 21
-        # words run past the first 64-byte read
+        # words fill the first SHAKE block the stream holds
         data = hashlib.shake_128(str(seed).encode("ascii")).digest(21 * 8)
         want = [(int.from_bytes(data[8 * k:8 * k + 8], "little") >> 11)
                 / 2 ** 53 for k in range(21)]
         rng = spectrum._rng(seed)
         assert [rng.random() for _ in range(21)] == want
+
+    @staticmethod
+    def _shake_uniforms(seed, n):
+        data = hashlib.shake_128(b"%d" % seed).digest(8 * n)
+        return [(int.from_bytes(data[8 * k:8 * k + 8], "little") >> 11)
+                / 2 ** 53 for k in range(n)]
+
+    @pytest.mark.parametrize("cut", [20, 21, 22, 41, 42, 43])
+    def test_reads_across_the_held_blocks(self, cut):
+        # the stream holds words 0..20 and then doubles its bytes, so
+        # words 21 and 42 are the first of a re-read; every way of
+        # crossing them gives the direct SHAKE-128 words
+        want = self._shake_uniforms(7, 100)
+        rng = spectrum._rng(7)
+        assert [rng.random() for _ in range(cut)] + rng.randoms(100 - cut) \
+            == want
+        rng = spectrum._rng(7)
+        assert rng.randoms(cut) + [rng.random() for _ in range(100 - cut)] \
+            == want
+        rng = spectrum._rng(7)
+        got = rng.randoms(cut - 1) + [rng.random()] + rng.randoms(0)
+        got += rng.randoms(1) + rng.randoms(100 - cut - 1)
+        assert got == want
+        rng = spectrum._rng(7)
+        assert rng.randoms(100) == want
 
     def test_batched_and_sequential_reads_agree(self):
         for seed in range(200):
@@ -315,10 +340,11 @@ class TestStream:
                 pytest.approx(us, rel=1e-12, abs=1e-12)
 
     def test_fresh_seeds_give_uncorrelated_uniforms(self):
-        # seeds C11 never reads; uniform 8 is the first past the first read
+        # seeds C11 never reads; uniform 21 is the first past the first
+        # SHAKE block
         n = 20_000
         seeds = range(10 ** 6, 10 ** 6 + n)
-        for k in (0, 8):
+        for k in (0, 8, 21):
             us = [spectrum._rng(s).randoms(k + 1)[k] for s in seeds]
             assert abs(statistics.mean(us) - 0.5) < 4 * math.sqrt(1 / 12 / n)
             r = statistics.correlation(us[:-1], us[1:])
@@ -351,6 +377,19 @@ class TestSamplers:
         c2 = [s.count_in(1.8, 2.8) for s in samples]
         corr = statistics.correlation(c1, c2)
         assert abs(corr) < 0.08
+
+    def test_count_in_matches_a_scan(self):
+        for seed in range(300):
+            sample = spectrum.sample_poisson_process(1 + seed % 4, seed)
+            pts = sample.points
+            ends = list(pts[:3]) + list(pts[-2:]) + [0.0, 0.7, 2.5, 5.0]
+            for a in ends:
+                for b in ends:
+                    want = sum(1 for t in pts if a <= t <= b)
+                    assert sample.count_in(a, b) == want, (seed, a, b)
+        assert spectrum.PointSample(points=()).count_in(0.0, 1.0) == 0
+        assert spectrum.PointSample(points=(1.0, 1.0, 2.0)).count_in(
+            1.0, 1.0) == 2
 
     def test_poisson_domain(self):
         with pytest.raises(DomainError):
@@ -434,6 +473,76 @@ class TestSamplers:
                 for t, ref in zip(got, want):
                     assert abs(t - ref) <= 4 * math.ulp(ref), (t_max, seed)
                 assert all(0 <= t <= t_max for t in got)
+
+    @staticmethod
+    def _evaluations_per_point(monkeypatch, t_max, seeds):
+        """The float intensity evaluations of each point's root, over the
+        samples of ``seeds`` at t_max, and the total over the samples."""
+        calls, per_point = [0], []
+        intensity_f, newton_root = spectrum._intensity_f, spectrum._newton_root
+
+        def counted_intensity(t):
+            calls[0] += 1
+            return intensity_f(t)
+
+        def counted_root(*args):
+            before = calls[0]
+            root = newton_root(*args)
+            per_point.append(calls[0] - before)
+            return root
+
+        monkeypatch.setattr(spectrum, "_intensity_f", counted_intensity)
+        monkeypatch.setattr(spectrum, "_newton_root", counted_root)
+        for seed in seeds:
+            spectrum.sample_poisson_process(t_max, seed)
+        monkeypatch.undo()
+        return per_point, calls[0]
+
+    def test_poisson_point_takes_one_intensity_evaluation(self, monkeypatch):
+        t_top = self._largest_accepted_t_max()
+        cases = [(0.01, 300), (1 / 32, 300), (math.nextafter(1 / 32, 0), 300),
+                 (math.nextafter(1.0, 0), 300), (math.nextafter(2.5, 3), 300),
+                 (t_top, 3), (1.0, 300), (2.0, 300), (3.0, 100), (4.0, 100)]
+        samples = points = evaluations = 0
+        for t_max, seeds in cases:
+            per_point, total = self._evaluations_per_point(
+                monkeypatch, t_max, range(seeds))
+            # one evaluation at t_max per sample, then the points'
+            assert total == seeds + sum(per_point), t_max
+            assert max(per_point, default=1) <= 2, t_max
+            samples += seeds
+            points += len(per_point)
+            evaluations += total
+        assert points > 4000
+        assert evaluations <= samples + 1.001 * points
+
+    def test_bracket_polynomials_meet_the_knots(self):
+        for j, (_, _, *c) in enumerate(spectrum._KNOT_POLY):
+            lo, hi = j * spectrum._KNOT_STEP, (j + 1) * spectrum._KNOT_STEP
+            at_one = 0.0
+            for ck in reversed(c):
+                at_one = at_one + ck
+            assert c[0] == lo, j
+            assert abs(at_one - hi) <= math.ulp(hi), j
+
+    def test_bracket_polynomials_follow_the_inverse(self):
+        # inside each bracket the start lies within a few ulp of the
+        # bisection root of lambda_{0,t} = v^2
+        for j, (v0, inv_h, *c) in enumerate(spectrum._KNOT_POLY):
+            for x in (0.25, 0.5, 0.75):
+                u = (v0 + x / inv_h) ** 2
+                lo, hi = j / 32, (j + 1) / 32
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    if spectrum._intensity_f(mid) < u:
+                        lo = mid
+                    else:
+                        hi = mid
+                x = (math.sqrt(u) - v0) * inv_h
+                start = 0.0
+                for ck in reversed(c):
+                    start = start * x + ck
+                assert abs(start - lo) <= 8 * math.ulp(lo), (j, x)
 
     @staticmethod
     def _linear_scan_draw(pmf, seed):
