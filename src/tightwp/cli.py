@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
 
 from tightwp import boltzmann, intersection, moments, spectrum, tightpoly
 from tightwp.errors import (BudgetError, CacheError, DomainError, ShapeError,
@@ -35,15 +35,20 @@ CSV_DIGITS = 17
 
 @dataclass(frozen=True)
 class RunConfig:
-    cache: PolyCache  # --budget, and the store under --cache-dir if given
+    # the run's context: --budget, the store under --cache-dir if given,
+    # and the cells and cusp pmfs the run builds
+    cache: PolyCache
     precision: int
     format: str
     seed: int
 
 
 def _fnum(x, digits: int = CSV_DIGITS) -> str:
-    """Deterministic decimal rendering of an mpf/float."""
-    return mpmath.nstr(mpmath.mpf(x), digits, strip_zeros=True)
+    """Deterministic decimal rendering of an mpf at its own precision and
+    of a float exactly, whatever the ambient precision."""
+    if not hasattr(x, "_mpf_"):
+        x = mp.make_mpf(libmp.from_float(float(x)))
+    return mpmath.nstr(x, digits, strip_zeros=True)
 
 
 def _emit(cfg: RunConfig, obj, rows=None, header=None, text_lines=None):

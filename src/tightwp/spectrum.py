@@ -33,7 +33,7 @@ from tightwp.errors import DomainError
 from tightwp.moments import (_newton_root, alpha1, cached_frame,
                              mu_critical)
 from tightwp.ring import DEFAULT_PREC
-from tightwp.tightpoly import admissible
+from tightwp.tightpoly import DEFAULT_CACHE, admissible
 
 
 _WORD = struct.Struct("<Q")
@@ -498,33 +498,18 @@ def sample_poisson_process(t_max: float, seed: int) -> PointSample:
     return PointSample(points=tuple(sorted(pts)))
 
 
-_pmf_cache: dict = {}
-
-
-def _cached_pmf(g: int, mu, prec: int, cache):
-    """cusp_pmf(g, mu, prec), memoized on the exact value of mu.
-
-    A caller's own (g, mu, prec) is looked up first.  On a miss mu is
-    rounded to a prec-bit mpf key, as cusp_pmf rounds it, and the entry
-    is stored under both keys; equal values round to equal keys.
-    """
-    pmf = _pmf_cache.get((g, mu, prec))
-    if pmf is None:
-        with mp.workprec(prec):
-            key = (g, mpmath.mpf(mu), prec)
-        pmf = _pmf_cache.get(key)
-        if pmf is None:
-            pmf = _pmf_cache[key] = cusp_pmf(g, mu, prec=prec, cache=cache)
-        _pmf_cache[(g, mu, prec)] = pmf
-    return pmf
-
-
 def sample_cusp_count(g: int, mu, seed: int,
                       prec: int = DEFAULT_PREC, cache=None) -> int:
     """Inverse-CDF draw of the cusp count; deterministic per seed.
 
-    The first p with u <= cdf[p], found by bisection; a u past the last
+    The pmf is kept in the context's pmfs by (g, mu, prec).  The draw is
+    the first p with u <= cdf[p], found by bisection; a u past the last
     running sum draws the last index.
     """
-    cdf = _cached_pmf(g, mu, prec, cache).cdf
+    cache = DEFAULT_CACHE if cache is None else cache
+    pmf = cache.pmfs.get((g, mu, prec))
+    if pmf is None:
+        pmf = cache.pmfs[(g, mu, prec)] = cusp_pmf(g, mu, prec=prec,
+                                                   cache=cache)
+    cdf = pmf.cdf
     return min(bisect_left(cdf, _rng(seed).random()), len(cdf) - 1)

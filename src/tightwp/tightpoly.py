@@ -58,7 +58,7 @@ class PolyCell:
     keeps the kernel's ell-groups per (exact mu, prec) and the
     coefficients as mpf per prec (one list aligned with ``poly.terms``),
     ``moments.volume_extract`` the exact volumes.  They live and die with
-    the cell, so a cleared or replaced cell never serves them.
+    the cell, so a replaced or dropped cell never serves them.
     """
 
     genus: int
@@ -95,13 +95,6 @@ def partitions(n: int, max_part: int | None = None):
     for first in range(max_part, 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
-
-
-_cells: dict = {}
-
-
-def clear_memory_cache():
-    _cells.clear()
 
 
 @functools.cache
@@ -195,28 +188,28 @@ def _closed_form(g: int, n: int, count: int) -> TightPoly:
 
 def p_gn(g: int, n: int, cache: "PolyCache | None" = None,
          budget: int | None = None) -> PolyCell:
-    """Build (or fetch) P_{g,n}.
+    """Build (or fetch) P_{g,n} in the context cache, DEFAULT_CACHE if None.
 
     Inadmissible (g,n) raises DomainError; a cell of more than `budget`
-    monomials raises BudgetError before the memo, the disk store or the
-    correlators are consulted.  The budget defaults to the cache's, and
-    to DEFAULT_BUDGET without a cache.
+    monomials raises BudgetError before the context's cells, its store or
+    the correlators are consulted.  The budget defaults to the context's.
     """
     if not admissible(g, n):
         raise DomainError(f"inadmissible (g,n) = ({g},{n})")
+    if cache is None:
+        cache = DEFAULT_CACHE
     if budget is None:
-        budget = cache.budget if cache is not None else DEFAULT_BUDGET
+        budget = cache.budget
     count = term_count(g, n)
     if count > budget:
         raise BudgetError(g, n, count, budget)
-    cell = _cells.get((g, n))
+    cell = cache.cells.get((g, n))
     if cell is None:
-        cell = cache.load(g, n) if cache is not None else None
+        cell = cache.load(g, n)
         if cell is None:
             cell = PolyCell(g, n, _closed_form(g, n, count))
-            if cache is not None:
-                cache.store(cell)
-        _cells[(g, n)] = cell
+            cache.store(cell)
+        cache.cells[(g, n)] = cell
     return cell
 
 
@@ -338,16 +331,22 @@ def alpha_coeff(g: int, n: int, pvec: Sequence[int], qvec: Sequence[int],
         return +(total * scale)
 
 
-# -- persistent store ----------------------------------------------------------
+# -- run context and persistent store ----------------------------------------
 
 class PolyCache:
-    """The cell budget p_gn applies, and the on-disk cell store under root:
-    poly/g{g}_n{n}.twp plus the tau memo segment.  Without a root nothing
-    is read or written."""
+    """One run's context: the cell budget p_gn applies, the disk store
+    under root (poly/g{g}_n{n}.twp and the tau segment; nothing is read
+    or written without a root), and what the run builds under them: the
+    `cells` by (g, n), each holding its groups, lifts and volumes, and the
+    cusp `pmfs` by (g, mu, prec).  No other context sees them.  The tau
+    memo, moment frames and functools caches stay module-level: each is a
+    pure function of an exact key that no budget or store changes."""
 
     def __init__(self, root=None, budget: int = DEFAULT_BUDGET):
         self.root = Path(root) if root is not None else None
         self.budget = budget
+        self.cells: dict = {}
+        self.pmfs: dict = {}
 
     def _cell_path(self, g: int, n: int) -> Path:
         return self.root / "poly" / f"g{g}_n{n}.twp"
@@ -393,3 +392,7 @@ class PolyCache:
         """Merge a persisted tau segment into the memo; returns its count
         of distinct keys."""
         return load_tau(self.tau_path()) if self.root is not None else 0
+
+
+DEFAULT_CACHE = PolyCache()
+_cells = DEFAULT_CACHE.cells  # perfbench checks it is empty at start

@@ -14,6 +14,7 @@ large-genus limit; the measured finite-size values are reported.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -56,10 +57,21 @@ class CriterionResult:
         }
 
 
+def _at_prec(criterion):
+    """Run a criterion at PREC bits, so that its mu values, constants,
+    ratios and measured strings do not depend on the caller's mp.prec."""
+    @functools.wraps(criterion)
+    def run(*args, **kwargs):
+        with mp.workprec(PREC):
+            return criterion(*args, **kwargs)
+    return run
+
+
 def _num(x, digits: int = 17) -> str:
     return mpmath.nstr(mpmath.mpf(x), digits)
 
 
+@_at_prec
 def criterion_constants(cache=None) -> CriterionResult:
     """mu_c leading digits, alpha_1, alpha_2 against the quoted values."""
     checks = []
@@ -76,6 +88,7 @@ def criterion_constants(cache=None) -> CriterionResult:
     return CriterionResult("C01 constants", checks)
 
 
+@_at_prec
 def criterion_polynomials(cache=None) -> CriterionResult:
     """Base cases and hand-derived P_{0,4}, P_{1,2} as exact term maps.
 
@@ -128,6 +141,7 @@ def _at_mu0(cell) -> dict:
     return {k: v.coeff(0) for k, v in got.items()}
 
 
+@_at_prec
 def criterion_classical_volumes(cache=None) -> CriterionResult:
     """T_{1,1}(L,0) and T_{1,2}(L,0) as exact q pi^(2j) identities."""
     checks = []
@@ -154,6 +168,7 @@ def criterion_classical_volumes(cache=None) -> CriterionResult:
     return CriterionResult("C03 classical volume oracle", checks)
 
 
+@_at_prec
 def criterion_series_extraction(cache=None) -> CriterionResult:
     """volume_extract at order 20: V_{0,3}, V_{0,4}(0), V_{1,1}(0)."""
     checks = []
@@ -267,6 +282,7 @@ def _tau_keys(max_dim: int):
                     yield g, part + (0,) * (n - len(part))
 
 
+@_at_prec
 def criterion_property_suites(cache=None) -> CriterionResult:
     """validate_cell sweep, the n-recursion and the cusp derivation
     against the closed form, string/dilaton/Virasoro consistency,
@@ -361,6 +377,7 @@ def criterion_property_suites(cache=None) -> CriterionResult:
     return CriterionResult("C05 property suites", checks)
 
 
+@_at_prec
 def criterion_intersection_trend(cache=None) -> CriterionResult:
     """|mp_asymptotic_ratio(g,(2)) - 1| strictly decreasing on 6..12."""
     checks = []
@@ -376,6 +393,7 @@ def criterion_intersection_trend(cache=None) -> CriterionResult:
     return CriterionResult("C06 intersection asymptotics trend", checks)
 
 
+@_at_prec
 def criterion_alpha_trends(cache=None) -> CriterionResult:
     """Concentration diagnostics: the mu-trend at g=4 and the pinned
     g=8 coefficient ratios (the latter is the documented red check)."""
@@ -414,6 +432,7 @@ def criterion_alpha_trends(cache=None) -> CriterionResult:
     return CriterionResult("C07 concentration-diagnostic trends", checks)
 
 
+@_at_prec
 def criterion_cusp_statistics(cache=None) -> CriterionResult:
     """Factorial-moment ratios (documented red at g=6), concentration
     decrease, and exact pmf/moment cross identities."""
@@ -457,6 +476,7 @@ def criterion_cusp_statistics(cache=None) -> CriterionResult:
     return CriterionResult("C08 cusp statistics", checks)
 
 
+@_at_prec
 def criterion_expected_counts(cache=None) -> CriterionResult:
     """Non-separating expected counts vs lambda_{1,2} along g = 3..8."""
     checks = []
@@ -480,6 +500,7 @@ def criterion_expected_counts(cache=None) -> CriterionResult:
     return CriterionResult("C09 tight-geodesic count limit", checks)
 
 
+@_at_prec
 def criterion_separating_suppression(cache=None) -> CriterionResult:
     """separating_sum(g,1,2) * g stays in a factor-3 band over g=4..10."""
     muc = moments.mu_critical(PREC)
@@ -496,6 +517,7 @@ def criterion_separating_suppression(cache=None) -> CriterionResult:
     return CriterionResult("C10 separating suppression", [check])
 
 
+@_at_prec
 def criterion_monte_carlo(cache=None, samples: int = 100_000,
                           seed: int = 0) -> CriterionResult:
     """Sampler statistics against exact targets, over the seeds

@@ -178,33 +178,32 @@ class TestCellGroups:
         terms[changed] += 1
         new = tightpoly.PolyCell(2, 1, TightPoly(1, old.d, terms))
         frame = moments.cached_frame(mu, old.d, PREC)
-        try:
-            tightpoly._cells[key] = new
-            after = boltzmann.t_volume(2, 1, [1.0], mu, PREC)
-            with mp.workprec(PREC):
-                want, _ = _per_term_eval(new.poly, [1],
-                                         frame.m_ratios()[:old.d], PREC)
-                want /= frame.moments[0] ** 3
-            assert after != before
-            assert _rel(_value(after), want) < mpmath.mpf(2) ** -100
-        finally:
-            tightpoly._cells[key] = old
+        ctx = tightpoly.PolyCache()
+        ctx.cells[key] = new
+        after = boltzmann.t_volume(2, 1, [1.0], mu, PREC, ctx)
+        with mp.workprec(PREC):
+            want, _ = _per_term_eval(new.poly, [1],
+                                     frame.m_ratios()[:old.d], PREC)
+            want /= frame.moments[0] ** 3
+        assert after != before
+        assert _rel(_value(after), want) < mpmath.mpf(2) ** -100
         assert boltzmann.t_volume(2, 1, [1.0], mu, PREC) == before
 
-    def test_clear_memory_cache_frees_cell_memos(self, monkeypatch):
-        monkeypatch.setattr(tightpoly, "_cells", {})
-        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC)
-        moments.volume_extract(2, 1, 3)
-        cell = tightpoly.p_gn(2, 1)
+    def test_dropped_context_frees_its_cells_and_their_values(self):
+        ctx = tightpoly.PolyCache()
+        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC,
+                           ctx)
+        moments.volume_extract(2, 1, 3, cache=ctx)
+        cell = tightpoly.p_gn(2, 1, cache=ctx)
         assert cell.groups and cell.volumes
+        assert cell is not tightpoly.p_gn(2, 1)
         ref = weakref.ref(cell)
-        del cell
-        tightpoly.clear_memory_cache()
+        del cell, ctx
         gc.collect()
         assert ref() is None
 
     def test_new_mu_lifts_no_coefficient(self, monkeypatch):
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        ctx = tightpoly.PolyCache()
         lifted = []
         mpf_list = boltzmann.mpf_list
 
@@ -218,19 +217,19 @@ class TestCellGroups:
         monkeypatch.setattr(boltzmann, "mpf_list", counting)
         monkeypatch.setattr(ring, "to_mpf", refuse)
         muc = moments.mu_critical(PREC)
-        boltzmann.cell_groups(2, 2, muc / 2, PREC)
+        boltzmann.cell_groups(2, 2, muc / 2, PREC, ctx)
         assert lifted == [PREC]
-        boltzmann.cell_groups(2, 2, muc / 3, PREC)
+        boltzmann.cell_groups(2, 2, muc / 3, PREC, ctx)
         spectrum.expected_nonseparating_count(
-            3, muc / 4, spectrum.IntervalSet.make([(0.5, 1.5)]), PREC)
+            3, muc / 4, spectrum.IntervalSet.make([(0.5, 1.5)]), PREC, ctx)
         # the count leaves its groups on its cut cell P_{2,2}
-        assert len(tightpoly.p_gn(2, 2).groups) == 3
+        assert len(tightpoly.p_gn(2, 2, cache=ctx).groups) == 3
         assert lifted == [PREC, PREC]  # the second is P_{3,0} for T_3
-        boltzmann.cell_groups(2, 2, muc / 3, 80)
+        boltzmann.cell_groups(2, 2, muc / 3, 80, ctx)
         assert lifted == [PREC, PREC, 80]
 
     def test_lifts_die_with_their_cell(self, monkeypatch):
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        ctx = tightpoly.PolyCache()
         held = []
         mpf_list = boltzmann.mpf_list
 
@@ -243,17 +242,18 @@ class TestCellGroups:
             return out
 
         monkeypatch.setattr(boltzmann, "mpf_list", tracked)
-        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC)
+        boltzmann.t_volume(2, 1, [1.0], moments.mu_critical(PREC) / 2, PREC,
+                           ctx)
         assert len(held) == 1
-        assert tightpoly.p_gn(2, 1).lifts[PREC] is held[0]()
-        tightpoly.clear_memory_cache()
+        assert tightpoly.p_gn(2, 1, cache=ctx).lifts[PREC] is held[0]()
+        del ctx
         gc.collect()
         assert held[0]() is None
 
     def test_ten_lengths_substitute_once(self, monkeypatch):
         # one kernel pass per (cell, mu, prec) gives both the signed and
         # the magnitude sums
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        ctx = tightpoly.PolyCache()
         calls = []
         kernel = TightPoly.subst_m_mpf
 
@@ -264,7 +264,7 @@ class TestCellGroups:
         monkeypatch.setattr(TightPoly, "subst_m_mpf", counting)
         mu = moments.mu_critical(PREC) / 2
         for i in range(10):
-            boltzmann.t_volume(4, 1, [0.3 * i], mu, PREC)
+            boltzmann.t_volume(4, 1, [0.3 * i], mu, PREC, ctx)
         assert len(calls) == 1
 
 
@@ -305,7 +305,7 @@ class TestCuspPmf:
         assert abs(pmf.factorial_moment(2) / float(m2) - 1) < 1e-8
 
     def test_volumes_built_once_across_mu(self, monkeypatch):
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        ctx = tightpoly.PolyCache()
         calls = []
         series = moments.t_volume_series
 
@@ -315,8 +315,8 @@ class TestCuspPmf:
 
         monkeypatch.setattr(moments, "t_volume_series", counting)
         muc = moments.mu_critical(PREC)
-        a = boltzmann.cusp_pmf(2, muc / 2, pmax=50, prec=PREC)
-        b = boltzmann.cusp_pmf(2, muc * 0.45, pmax=50, prec=PREC)
+        a = boltzmann.cusp_pmf(2, muc / 2, pmax=50, prec=PREC, cache=ctx)
+        b = boltzmann.cusp_pmf(2, muc * 0.45, pmax=50, prec=PREC, cache=ctx)
         assert len(calls) == 1
         assert a.mean() > b.mean()
 

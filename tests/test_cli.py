@@ -9,6 +9,7 @@ import sys
 import time
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from tightwp import boltzmann, cli
@@ -77,6 +78,17 @@ class TestMoments:
         assert obj["moments"]["M0"] == "1.0"
         assert obj["moments"]["M1"].startswith("-19.7392")
         assert obj["mu_c"].startswith("0.0316")
+
+    def test_values_print_the_digits_computed(self, capsys):
+        # a 113-bit mpf is printed at its own precision, not rounded to
+        # the ambient 53 bits first
+        from tightwp import moments
+
+        code, out, _ = run(capsys, "--format", "json", "moments",
+                           "--mu", "0.01")
+        assert code == 0
+        want = mpmath.nstr(moments.mu_critical(113), 17)
+        assert json.loads(out)["mu_c"] == want == "0.031623840200669741"
 
     def test_exact_series_output(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "moments",
@@ -418,20 +430,25 @@ class TestBudget:
                                               argv, cell):
         from tightwp import tightpoly
 
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        closed_form = tightpoly._closed_form
+
+        def guarded(g, n, count):
+            assert (g, n) != cell, "the refused cell was built"
+            return closed_form(g, n, count)
+
+        monkeypatch.setattr(tightpoly, "_closed_form", guarded)
         code, out, err = run(capsys, "--budget", "10000", *argv)
         assert code == 3 and out == ""
         assert "cell ({},{}) needs".format(*cell) in err
-        assert cell not in tightpoly._cells
 
 
 def _fresh_process(monkeypatch):
-    """Empty the tau memo and the cell memo, as a new process starts."""
-    from tightwp import intersection, tightpoly
+    """Empty the tau memo, as a new process starts; each run already
+    holds its cells in a context of its own."""
+    from tightwp import intersection
 
     monkeypatch.setattr(intersection, "_memo", {})
     monkeypatch.setattr(intersection, "_values", {})
-    monkeypatch.setattr(tightpoly, "_cells", {})
 
 
 class TestCacheBehaviour:

@@ -135,10 +135,11 @@ def _pg0_keys(g_max):
 def test_old_order_oracle_on_every_key_the_genus_builds_reach(monkeypatch):
     monkeypatch.setattr(intersection, "_memo", {})
     monkeypatch.setattr(intersection, "_values", {})
-    monkeypatch.setattr(tightpoly, "_cells", {})
+    ctx = tightpoly.PolyCache()
     for g in range(2, 8):
-        tightpoly.p_gn(g, 0)
+        tightpoly.p_gn(g, 0, cache=ctx)
     reached = set(intersection._memo)
+    assert reached
     old = {}
     for g, idx in _pg0_keys(7):
         _oracle(g, idx, old)

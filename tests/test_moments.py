@@ -526,17 +526,18 @@ class TestVolumeExtraction:
             c = s.coeff(j)
             assert c.q > 0
 
-    def test_lower_order_is_exact_prefix_in_either_order(self, monkeypatch):
+    def test_lower_order_is_exact_prefix_in_either_order(self):
         from tightwp import tightpoly
 
         for orders in ((47, 48, 50), (50, 47)):
-            monkeypatch.setattr(tightpoly, "_cells", {})
-            got = {p: moments.volume_extract(2, 0, p) for p in orders}
+            ctx = tightpoly.PolyCache()
+            got = {p: moments.volume_extract(2, 0, p, cache=ctx)
+                   for p in orders}
             assert all(len(got[p]) == p + 1 for p in orders)
             assert got[47] == got[50][:48]
         v0 = got[50][0]
         got[50][0] = None  # a caller's list is its own
-        assert moments.volume_extract(2, 0, 50)[0] == v0
+        assert moments.volume_extract(2, 0, 50, cache=ctx)[0] == v0
 
     def test_replaced_cell_rebuilds_volumes(self):
         from tightwp import tightpoly
@@ -545,13 +546,10 @@ class TestVolumeExtraction:
         old = tightpoly.p_gn(*key)
         before = moments.volume_extract(1, 1, 3)
         doubled = {k: 2 * q for k, q in old.poly.terms.items()}
-        try:
-            tightpoly._cells[key] = tightpoly.PolyCell(
-                1, 1, TightPoly(1, old.d, doubled))
-            assert moments.volume_extract(1, 1, 3) == \
-                [PiPoly(2 * v.q, v.j) for v in before]
-        finally:
-            tightpoly._cells[key] = old
+        ctx = tightpoly.PolyCache()
+        ctx.cells[key] = tightpoly.PolyCell(1, 1, TightPoly(1, old.d, doubled))
+        assert moments.volume_extract(1, 1, 3, cache=ctx) == \
+            [PiPoly(2 * v.q, v.j) for v in before]
         assert moments.volume_extract(1, 1, 3) == before
 
     def test_work_over_the_bound_is_refused_before_any_build(

@@ -133,13 +133,15 @@ def frame_raw(fr):
     return (raw(fr.mu), raw(fr.r_value), raw(fr.moments), fr.precision)
 
 
-def fresh_memos(monkeypatch):
-    """Empty frame memo, and cells that share the built polynomials but
-    hold no groups or lifts."""
+def fresh_context(monkeypatch):
+    """Empty the frame memo, and return a context whose cells share the
+    polynomials built in the default context but hold no groups or
+    lifts."""
     monkeypatch.setattr(moments, "_frame_cache", {})
-    monkeypatch.setattr(tightpoly, "_cells", {
-        k: tightpoly.PolyCell(c.genus, c.boundaries, c.poly)
-        for k, c in tightpoly._cells.items()})
+    ctx = tightpoly.PolyCache()
+    ctx.cells.update({k: tightpoly.PolyCell(c.genus, c.boundaries, c.poly)
+                      for k, c in tightpoly.DEFAULT_CACHE.cells.items()})
+    return ctx
 
 
 @pytest.fixture(scope="module")
@@ -244,14 +246,14 @@ class TestRing:
 
 
 class TestEndToEnd:
-    """Whole readers, new path against the reference path, fresh memos."""
+    """Whole readers, new path against the reference path, each in a
+    fresh context."""
 
     def _both(self, monkeypatch, thunk):
-        fresh_memos(monkeypatch)
-        got = raw(thunk())
-        fresh_memos(monkeypatch)
+        got = raw(thunk(fresh_context(monkeypatch)))
+        ctx = fresh_context(monkeypatch)
         use_reference(monkeypatch)
-        want = raw(thunk())
+        want = raw(thunk(ctx))
         monkeypatch.undo()
         return got, want
 
@@ -261,20 +263,22 @@ class TestEndToEnd:
         for g in (3, 4):
             for mu in mus(prec)[1:]:
                 got, want = self._both(
-                    monkeypatch, lambda: spectrum.expected_nonseparating_count(
-                        g, mu, windows, prec))
+                    monkeypatch, lambda ctx:
+                    spectrum.expected_nonseparating_count(g, mu, windows,
+                                                          prec, ctx))
                 assert got == want, (g, mu)
 
     @pytest.mark.parametrize("prec", [80, 160])
     def test_boltzmann_readers(self, prec, monkeypatch, built_cells):
         mu = mus(prec)[2]
 
-        def readers():
-            return (boltzmann.t_value(3, 2, [0.4, 1.9], mu, prec),
-                    boltzmann.concentration_ratio(4, mu, prec),
-                    boltzmann.boundary_ratio(2, 2, [1.2, 0.4], mu, prec),
+        def readers(ctx):
+            return (boltzmann.t_value(3, 2, [0.4, 1.9], mu, prec, ctx),
+                    boltzmann.concentration_ratio(4, mu, prec, ctx),
+                    boltzmann.boundary_ratio(2, 2, [1.2, 0.4], mu, prec, ctx),
                     tightpoly.alpha_coeff(3, 1, (2,), (1,),
-                                          moments.cached_frame(mu, 7, prec)))
+                                          moments.cached_frame(mu, 7, prec),
+                                          cache=ctx))
 
         got, want = self._both(monkeypatch, readers)
         assert got == want
@@ -284,13 +288,16 @@ class TestEndToEnd:
 
 class TestAmbientPrecision:
     READERS = {
-        "t_value": lambda mu: boltzmann.t_value(4, 2, [0.7, 1.3], mu, 113),
-        "cell_groups": lambda mu: boltzmann.cell_groups(3, 1, mu, 113),
-        "eval_ell_groups": lambda mu: ring.eval_ell_groups(
-            boltzmann.cell_groups(3, 2, mu, 113)[1], [0.25, 4], 113),
-        "make_frame": lambda mu: moments.make_frame(mu, 9, 113),
-        "expected_count": lambda mu: spectrum.expected_nonseparating_count(
-            4, mu, spectrum.IntervalSet.make([(0.5, 1.5)]), 113),
+        "t_value": lambda mu, ctx: boltzmann.t_value(4, 2, [0.7, 1.3], mu,
+                                                     113, ctx),
+        "cell_groups": lambda mu, ctx: boltzmann.cell_groups(3, 1, mu, 113,
+                                                             ctx),
+        "eval_ell_groups": lambda mu, ctx: ring.eval_ell_groups(
+            boltzmann.cell_groups(3, 2, mu, 113, ctx)[1], [0.25, 4], 113),
+        "make_frame": lambda mu, ctx: moments.make_frame(mu, 9, 113),
+        "expected_count": lambda mu, ctx:
+        spectrum.expected_nonseparating_count(
+            4, mu, spectrum.IntervalSet.make([(0.5, 1.5)]), 113, ctx),
     }
 
     @pytest.mark.parametrize("name", list(READERS))
@@ -299,9 +306,9 @@ class TestAmbientPrecision:
         mu = 0.0316 * (1 - 1e-4)
         out = []
         for ambient in (53, 300):
-            fresh_memos(monkeypatch)
+            ctx = fresh_context(monkeypatch)
             with mp.workprec(ambient):
-                got = read(mu)
+                got = read(mu, ctx)
                 assert mp.prec == ambient
             if name == "make_frame":
                 got = frame_raw(got)

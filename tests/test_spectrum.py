@@ -13,8 +13,8 @@ import mpmath
 import pytest
 from mpmath import mp
 
-from tightwp import moments, spectrum
-from tightwp.errors import DomainError
+from tightwp import moments, spectrum, tightpoly
+from tightwp.errors import BudgetError, DomainError
 from tightwp.spectrum import IntervalSet
 
 PREC = 113
@@ -558,22 +558,25 @@ class TestSamplers:
 
     def test_cusp_draws_match_linear_scan(self):
         muc = moments.mu_critical(PREC)
+        ctx = tightpoly.PolyCache()
         for g, mu in ((3, muc / 2), (2, muc * 2 / 5), (2, muc / 10)):
-            pmf = spectrum._cached_pmf(g, mu, PREC, None)
+            draws = [spectrum.sample_cusp_count(g, mu, seed, PREC, ctx)
+                     for seed in range(3000)]
+            pmf = ctx.pmfs[(g, mu, PREC)]
             assert pmf.cdf == tuple(itertools.accumulate(pmf.probs))
-            for seed in range(3000):
-                assert spectrum.sample_cusp_count(g, mu, seed, PREC) == \
-                    self._linear_scan_draw(pmf, seed), (g, seed)
+            assert draws == [self._linear_scan_draw(pmf, seed)
+                             for seed in range(3000)], g
 
-    def test_cusp_draw_past_the_last_running_sum(self, monkeypatch):
+    def test_cusp_draw_past_the_last_running_sum(self):
         # a pmf whose probs sum to 1/2: every u > 1/2 falls back to the
         # last index
         from tightwp.boltzmann import CuspPmf
 
         pmf = CuspPmf(probs=(0.125, 0.0, 0.375), raw_mass=1.0,
                       tail_bound=0.0)
-        monkeypatch.setattr(spectrum, "_pmf_cache", {(2, 0.25, PREC): pmf})
-        draws = [spectrum.sample_cusp_count(2, 0.25, seed, PREC)
+        ctx = tightpoly.PolyCache()
+        ctx.pmfs[(2, 0.25, PREC)] = pmf
+        draws = [spectrum.sample_cusp_count(2, 0.25, seed, PREC, ctx)
                  for seed in range(3000)]
         assert draws == [self._linear_scan_draw(pmf, seed)
                          for seed in range(3000)]
@@ -585,29 +588,43 @@ class TestSamplers:
         mu = float(moments.mu_critical(PREC)) / 3
         with mp.workprec(PREC):
             mu_mpf = mpmath.mpf(mu)
-        a = spectrum._cached_pmf(3, mu, PREC, None)
-        assert spectrum._cached_pmf(3, mu_mpf, PREC, None) is a
-        assert [spectrum.sample_cusp_count(3, mu, s, PREC)
-                for s in range(200)] == \
-            [spectrum.sample_cusp_count(3, mu_mpf, s, PREC)
-             for s in range(200)]
+        ctx = tightpoly.PolyCache()
+        draws = [spectrum.sample_cusp_count(3, mu, s, PREC, ctx)
+                 for s in range(200)]
+        assert [spectrum.sample_cusp_count(3, mu_mpf, s, PREC, ctx)
+                for s in range(200)] == draws
+        assert list(ctx.pmfs) == [(3, mu, PREC)]
 
     def test_cusp_count_determinism_and_support(self):
         muc = moments.mu_critical(PREC)
         mu = muc / 2
-        a = spectrum.sample_cusp_count(3, mu, 7, PREC)
+        ctx = tightpoly.PolyCache()
+        a = spectrum.sample_cusp_count(3, mu, 7, PREC, ctx)
+        assert a == spectrum.sample_cusp_count(3, mu, 7, PREC, ctx)
         assert a == spectrum.sample_cusp_count(3, mu, 7, PREC)
-        pmf = spectrum._cached_pmf(3, mu, PREC, None)
-        assert 0 <= a < len(pmf)
+        assert 0 <= a < len(ctx.pmfs[(3, mu, PREC)])
 
     def test_pmf_cache_keys_on_exact_mu(self):
         prec = 256
         with mp.workprec(prec):
             mu = mpmath.mpf(1) / 100
             near = mu + mpmath.mpf("1e-45")
-        a = spectrum._cached_pmf(2, mu, prec, None)
-        assert spectrum._cached_pmf(2, near, prec, None) is not a
-        assert spectrum._cached_pmf(2, mu, prec, None) is a
+        ctx = tightpoly.PolyCache()
+        spectrum.sample_cusp_count(2, mu, 0, prec, ctx)
+        a = ctx.pmfs[(2, mu, prec)]
+        spectrum.sample_cusp_count(2, near, 0, prec, ctx)
+        assert ctx.pmfs[(2, near, prec)] is not a
+        spectrum.sample_cusp_count(2, mu, 1, prec, ctx)
+        assert len(ctx.pmfs) == 2 and ctx.pmfs[(2, mu, prec)] is a
+
+    def test_draw_refuses_past_its_context_budget(self):
+        # a default-budget draw at the same (g, mu, prec) first: its pmf
+        # stays in the default context
+        mu = moments.mu_critical(PREC) / 2
+        spectrum.sample_cusp_count(3, mu, 0, PREC)
+        with pytest.raises(BudgetError):
+            spectrum.sample_cusp_count(3, mu, 0, PREC,
+                                       tightpoly.PolyCache(budget=10))
 
     def test_cusp_count_empirical_mean(self):
         from tightwp import boltzmann

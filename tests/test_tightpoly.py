@@ -68,14 +68,15 @@ class TestBudget:
         assert (err.value.g, err.value.n) == (2, 2)
         assert err.value.count == 45 and err.value.budget == 10
         assert "about" not in str(err.value)
-        saved = dict(tightpoly._cells)
-        try:
-            tightpoly.clear_memory_cache()
-            with pytest.raises(BudgetError) as err:
-                tightpoly.p_gn(2, 2, cache=poly_cache, budget=10)
-            assert err.value.count == 45
-        finally:
-            tightpoly._cells.update(saved)
+        # a context holding the cell refuses it too
+        tightpoly.p_gn(2, 2, cache=poly_cache)
+        with pytest.raises(BudgetError) as err:
+            tightpoly.p_gn(2, 2, cache=poly_cache, budget=10)
+        assert err.value.count == 45
+        with pytest.raises(BudgetError) as err:
+            tightpoly.p_gn(2, 2, cache=tightpoly.PolyCache(poly_cache.root),
+                           budget=10)
+        assert err.value.count == 45
 
     def test_budget_rides_on_the_cache(self, poly_cache):
         assert tightpoly.PolyCache().budget == tightpoly.DEFAULT_BUDGET
@@ -93,7 +94,6 @@ class TestBudget:
                                                 monkeypatch):
         monkeypatch.chdir(tmp_path)
         bare = tightpoly.PolyCache()
-        monkeypatch.setattr(tightpoly, "_cells", {})
         cell = tightpoly.p_gn(1, 2, cache=bare)
         bare.store(cell)
         assert bare.load(1, 2) is None
@@ -109,6 +109,39 @@ class TestBudget:
         assert err.value.count == 718_339
         assert tightpoly._cells == cells
         assert intersection.cache_size() == memo
+
+
+class TestRunContext:
+    """A PolyCache owns the cells built under its budget and store; no
+    other context sees them."""
+
+    def test_a_cell_built_without_a_cache_is_in_the_module_memo(self):
+        # perfbench checks that a fresh interpreter starts with an empty
+        # tightpoly._cells, which is only a check while calls without a
+        # cache fill it
+        cell = tightpoly.p_gn(2, 1)
+        assert tightpoly._cells is tightpoly.DEFAULT_CACHE.cells
+        assert tightpoly._cells[(2, 1)] is cell
+
+    def test_store_is_written_when_another_context_holds_the_cell(
+            self, poly_cache):
+        tightpoly.p_gn(2, 2)
+        cell = tightpoly.p_gn(2, 2, cache=poly_cache)
+        assert poly_cache._cell_path(2, 2).exists()
+        assert poly_cache.load(2, 2).poly == cell.poly
+        assert poly_cache.cells == {(2, 2): cell}
+
+    def test_bad_stored_cell_is_refused_when_another_context_holds_it(
+            self, poly_cache):
+        cell = tightpoly.p_gn(1, 2)
+        cols = cell.poly.to_columns()
+        keys = _keys(cols, 2 + cell.d)
+        twpcache.write_twp(poly_cache._cell_path(1, 2), "poly",
+                           [1, 2, cell.d], _cols(cols[0], keys[1:],
+                                                 cols[2][1:]))
+        with pytest.raises(CacheError, match="has 6 terms, expected 7"):
+            tightpoly.p_gn(1, 2, cache=poly_cache)
+        assert poly_cache.cells == {}
 
 
 class TestPgn:
@@ -331,18 +364,18 @@ class TestIntRoute:
     def test_cold_build_fills_the_memo_and_not_values(self, monkeypatch):
         monkeypatch.setattr(intersection, "_memo", {})
         monkeypatch.setattr(intersection, "_values", {})
-        monkeypatch.setattr(tightpoly, "_cells", {})
-        tightpoly.p_gn(3, 2)
+        tightpoly.p_gn(3, 2, cache=tightpoly.PolyCache())
         assert intersection._memo
         assert intersection._values == {}
 
     def test_tau_rows_are_the_correlators(self, tmp_path, monkeypatch):
         monkeypatch.setattr(intersection, "_memo", {})
         monkeypatch.setattr(intersection, "_values", {})
-        monkeypatch.setattr(tightpoly, "_cells", {})
+        ctx = tightpoly.PolyCache()
         for g, n in [(4, 0), (3, 2), (2, 3)]:
-            tightpoly.p_gn(g, n)
+            tightpoly.p_gn(g, n, cache=ctx)
         path = tmp_path / "tau.twp"
+        assert intersection._memo
         assert intersection.save_tau(path) == len(intersection._memo)
         saved = dict(intersection._memo)
         _meta, rows = twpcache.read_twp(path, "tau")
@@ -636,6 +669,10 @@ class TestStore:
     def test_build_consults_disk_cache(self, poly_cache, monkeypatch):
         cell = tightpoly.p_gn(1, 3)
         poly_cache.store(cell)
-        monkeypatch.setattr(tightpoly, "_cells", {})
+
+        def refuse(*args):
+            raise AssertionError("built a stored cell")
+
+        monkeypatch.setattr(tightpoly, "_closed_form", refuse)
         again = tightpoly.p_gn(1, 3, cache=poly_cache)
         assert again.poly == cell.poly
